@@ -565,6 +565,12 @@ def run_command(argv=None) -> int:
     except QshjeError as err:
         sys.stderr.write(json.dumps(err.to_json_dict()) + "\n")
         return 3
+    except Exception as err:            # keep the 0/2/3 contract: no traceback
+        sys.stderr.write(json.dumps({
+            "module": _MODULE, "op": args.command,
+            "message": f"{type(err).__name__}: {err}", "x": None}) + "\n")
+        # a bad value or an unreadable file is an input error, like ConfigError
+        return 2 if isinstance(err, (ValueError, OSError)) else 3
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,11 @@
 
 Potentials, a fixed-step Numerov integrator that carries the first
 derivative, independent solution pairs with controlled Wronskian, node
-counting, and bound-state search by two-sided shooting with bisection.
+counting, and bound-state search by bisection on the node count of a
+left-launched shooting solution (no log-derivative mismatch). Every
+Numerov sweep is one LAPACK banded forward substitution; the search's
+sweeps renormalize forbidden-region overflow and keep only the signs of
+the history they rescale.
 
 Natural units hbar = m = 1 are the default; both constants are explicit
 parameters so classical-limit sweeps can rescale hbar.
@@ -16,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import trapezoid
 from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import (
     DomainError,
@@ -288,39 +293,66 @@ def _rk4_first_step(w_of_x, x0, h, y0, dy0, n_sub=8):
     return y
 
 
-def _numerov_values(w, h, y0, y1, x0=0.0, renormalize=False):
-    """Run the Numerov recurrence for psi'' = w(x) psi over samples w.
+def _numerov_solve(c, y0, y1):
+    """Numerov samples from the seeds y0, y1 by one forward substitution.
 
-    With renormalize set, forbidden-region overflow rescales the history
-    instead of raising (the bound-state search only needs signs and
-    ratios); otherwise overflow is an error carrying the position.
+    The recurrence c[i+1] y[i+1] - (12 - 10 c[i]) y[i] + c[i-1] y[i-1] = 0
+    below the two seed rows is a lower-triangular banded system of
+    bandwidth 2; LAPACK ``dtbtrs`` solves it without pivoting, which is the
+    recurrence itself. Returns (samples, info); info > 0 names the 1-based
+    row whose coefficient c vanished, and then nothing was solved.
     """
-    n = len(w)
-    c = [1.0 - (h * h / 12.0) * wi for wi in w]
-    y = [0.0] * n
-    y[0] = y0
-    y[1] = y1
-    lim = _OVERFLOW_LIMIT
-    for i in range(1, n - 1):
-        yn = ((12.0 - 10.0 * c[i]) * y[i] - c[i - 1] * y[i - 1]) / c[i + 1]
-        if yn > lim or yn < -lim or yn != yn:
-            if not renormalize:
-                raise NumericError(
-                    "solution overflow in classically forbidden region",
-                    module=_MODULE, op="integrate_schrodinger",
-                    x=x0 + (i + 1) * h)
-            scale = 1e-200
-            for j in range(i + 1):
-                y[j] *= scale
-            yn *= scale
-        y[i + 1] = yn
-    return y
+    n = c.size
+    ab = np.empty((n, 3)).T                 # Fortran-ordered band storage
+    ab[0, :2] = 1.0
+    ab[0, 2:] = c[2:]
+    ab[1, 0] = 0.0
+    ab[1, 1:] = 10.0 * c[1:] - 12.0
+    ab[2] = c
+    b = np.zeros((n, 1), order="F")
+    b[0, 0], b[1, 0] = y0, y1
+    y, info = dtbtrs(ab, b, uplo="L", overwrite_b=1)
+    return y[:, 0], info
+
+
+def _numerov_values(w, h, y0, y1, x0=0.0, renormalize=False):
+    """Run the Numerov recurrence for psi'' = w(x) psi over the array w.
+
+    Each sweep is one LAPACK forward substitution (``_numerov_solve``). The
+    first sample beyond ``_OVERFLOW_LIMIT``, or non-finite, marks
+    forbidden-region overflow. Without renormalize it is an error carrying
+    the position. With renormalize (the bound-state search, which needs
+    only signs) the history before it is reduced to its signs, the two
+    samples at the overflow are rescaled by 1e-200 and the solve restarts
+    from them; a sign-only history cannot underflow to zero and lose nodes.
+    """
+    c = 1.0 - (h * h / 12.0) * w
+    y = np.empty(c.size)
+    start, s0, s1 = 0, y0, y1
+    while True:
+        seg, info = _numerov_solve(c[start:], s0, s1)
+        if info > 0:
+            raise NumericError("Numerov coefficient 1 - h^2 w / 12 vanished; "
+                               "refine the grid", module=_MODULE,
+                               op="integrate_schrodinger",
+                               x=x0 + (start + info - 1) * h)
+        y[start:] = seg
+        over = ~(np.abs(seg[2:]) <= _OVERFLOW_LIMIT)
+        if not over.any():
+            return y
+        k = start + 2 + int(np.argmax(over))
+        if not renormalize:
+            raise NumericError(
+                "solution overflow in classically forbidden region",
+                module=_MODULE, op="integrate_schrodinger", x=x0 + k * h)
+        if not np.isfinite(y[k]):           # count_nodes rejects the sweep
+            return y
+        y[:k - 1] = np.sign(y[:k - 1])
+        start, s0, s1 = k - 1, y[k - 1] * 1e-200, y[k] * 1e-200
 
 
 def _numerov_derivatives(y, w, h, dy0, w_ghost, y_ghost):
     """Fourth-order derivative samples consistent with psi'' = w psi."""
-    y = np.asarray(y)
-    w = np.asarray(w)
     n = y.size
     d = np.empty(n)
     d[0] = dy0
@@ -355,7 +387,7 @@ def integrate_schrodinger(spec: PotentialSpec, energy: float, grid: Grid,
         return coeff * (spec.value(xx, units) - energy)
 
     y1 = _rk4_first_step(w_of_x, x[0], h, y0, dy0)
-    y = _numerov_values(list(w), h, y0, y1, x0=x[0])
+    y = _numerov_values(w, h, y0, y1, x0=x[0])
 
     # ghost point just past x_max for the last derivative sample; tabulated
     # potentials need only cover the grid, so fall back to extrapolation
@@ -370,8 +402,7 @@ def integrate_schrodinger(spec: PotentialSpec, energy: float, grid: Grid,
     y_ghost = ((12.0 - 10.0 * c_n) * y[-1] - c_nm1 * y[-2]) / c_g
 
     d = _numerov_derivatives(y, w, h, dy0, w_ghost, y_ghost)
-    return Solution(grid=grid, energy=energy, units=units,
-                    values=np.asarray(y), derivs=d)
+    return Solution(grid=grid, energy=energy, units=units, values=y, derivs=d)
 
 
 def _reversed_solution(spec, energy, grid, init, units):
@@ -388,7 +419,7 @@ def _reversed_solution(spec, energy, grid, init, units):
 
     y0, dy0 = float(init[0]), -float(init[1])   # d/ds = -d/dx
     y1 = _rk4_first_step(w_of_s, 0.0, h, y0, dy0)
-    yr = _numerov_values(list(wr), h, y0, y1, x0=0.0)
+    yr = _numerov_values(wr, h, y0, y1, x0=0.0)
 
     s_ghost = (grid.n_points) * h
     try:
@@ -402,7 +433,7 @@ def _reversed_solution(spec, energy, grid, init, units):
     dr = _numerov_derivatives(yr, wr, h, dy0, w_ghost, y_ghost)
 
     return Solution(grid=grid, energy=energy, units=units,
-                    values=np.asarray(yr)[::-1], derivs=-dr[::-1])
+                    values=yr[::-1], derivs=-dr[::-1])
 
 
 def make_pair(spec: PotentialSpec, energy: float, grid: Grid,
@@ -512,32 +543,16 @@ def _shoot_nodes(w, h):
     return count_nodes(y[1:])   # skip the endpoint zero
 
 
-def _match_mismatch(spec, energy, grid, units, i_match):
-    """Scale-free Wronskian mismatch of left/right launched solutions at
-    the matching index. Zero exactly at an eigenvalue of the windowed
-    problem."""
-    x = grid.points()
-    h = grid.spacing
-    n = grid.n_points
-    left_grid = Grid(grid.x_min, x[i_match], i_match + 1)
-    right_grid = Grid(x[i_match], grid.x_max, n - i_match)
-    sl = integrate_schrodinger(spec, energy, left_grid, (0.0, h), units)
-    sr = _reversed_solution(spec, energy, right_grid, (0.0, h), units)
-    yl, dl = sl.values[-1], sl.derivs[-1]
-    yr, dr = sr.values[0], sr.derivs[0]
-    num = dl * yr - yl * dr
-    den = math.hypot(yl, dl) * math.hypot(yr, dr)
-    if den == 0.0:
-        raise NumericError("degenerate shooting solutions",
-                           module=_MODULE, op="find_bound_energies", x=x[i_match])
-    return num / den
-
-
 def find_bound_energies(spec: PotentialSpec, grid: Grid,
                         units: UnitSystem = NATURAL_UNITS,
                         n_max: int = 1, e_tol: float = 1e-12) -> list[float]:
-    """First n_max bound energies by node-count bracketing plus bisection
-    on the log-derivative mismatch at the matching point.
+    """First n_max bound energies by bisection on the node count alone.
+
+    Level n is the midpoint of the bracket on which the node count of the
+    left-launched solution steps from n to n + 1, bisected until it is no
+    wider than max(e_tol, 1e-14 |E|). Each count is one renormalized
+    Numerov sweep (``_shoot_nodes``), a LAPACK forward substitution whose
+    history keeps only signs across each overflow rescale.
 
     The potential must confine on the grid (V large at both ends relative
     to the returned energies).
@@ -557,12 +572,7 @@ def find_bound_energies(spec: PotentialSpec, grid: Grid,
             module=_MODULE, op="find_bound_energies")
 
     def nodes_at(e):
-        return _shoot_nodes(list(coeff * (v - e)), h)
-
-    def mismatch(e):
-        i_match = int(np.argmin(np.abs(v - e)))
-        i_match = min(max(i_match, 8), grid.n_points - 9)
-        return _match_mismatch(spec, e, grid, units, i_match)
+        return _shoot_nodes(coeff * (v - e), h)
 
     energies = []
     for n in range(n_max):
@@ -584,23 +594,7 @@ def find_bound_energies(spec: PotentialSpec, grid: Grid,
                 hi = mid
             else:
                 lo = mid
-        # refine on the smooth mismatch inside the bracket when possible
-        flo, fhi = mismatch(lo), mismatch(hi)
-        if flo * fhi < 0.0:
-            a, b, fa = lo, hi, flo
-            for _ in range(200):
-                if b - a <= max(e_tol, 1e-14 * abs(b)):
-                    break
-                mid = 0.5 * (a + b)
-                fm = mismatch(mid)
-                if fa * fm <= 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            e_n = 0.5 * (a + b)
-        else:
-            e_n = 0.5 * (lo + hi)
-        energies.append(e_n)
+        energies.append(0.5 * (lo + hi))
     return energies
 
 

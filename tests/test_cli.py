@@ -235,3 +235,19 @@ def test_trajectory_ab_params_require_free(tmp_path, capsys):
                 "--energy", "0.5", "--grid=-2:2:1001", "--params", "A=1,B=0",
                 "--x0", "0", "--t", "0:1", "-o", str(out)])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["action", "--grid=0:6:60.5"],
+    ["action", "--energy", "abc"],
+    ["action", "--params", "mu=nan,nu=0"],
+    ["action", "--hbar", "inf"],
+    ["quantize", "--potential", "tabulated", "--table", "{missing}"],
+], ids=["grid", "energy", "params_nan", "hbar_inf", "missing_table"])
+def test_malformed_input_exits_with_json_error(tmp_path, capsys, argv):
+    argv = [a.replace("{missing}", str(tmp_path / "missing.csv")) for a in argv]
+    code = run(argv + ["-o", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (2, 3)
+    assert isinstance(json.loads(err.strip().splitlines()[-1]), dict)
+    assert "Traceback" not in err

@@ -23,7 +23,7 @@ from qshje import (
     physical_bound_solution,
     potential_value,
 )
-from qshje.schrodinger import Solution, pair_from_solutions
+from qshje.schrodinger import Solution, _numerov_values, pair_from_solutions
 
 
 # ---------------------------------------------------------------- types
@@ -127,6 +127,48 @@ def test_forbidden_region_overflow_flagged():
     assert err.value.x is not None and 0.0 < err.value.x <= 400.0
 
 
+def test_vanishing_numerov_coefficient_flagged():
+    # h^2 w / 12 == 1 exactly at every sample: the recurrence divides by zero
+    with pytest.raises(NumericError) as err:
+        integrate_schrodinger(PotentialSpec.free(), -24.0, Grid(0.0, 4.0, 9),
+                              (1.0, 0.0))
+    assert err.value.x == 1.0
+
+
+def _numerov_loop(w, h, y0, y1, x0=0.0, renormalize=False):
+    """Reference: the Numerov recurrence as a plain Python loop."""
+    n = len(w)
+    c = [1.0 - (h * h / 12.0) * wi for wi in w]
+    y = [0.0] * n
+    y[0] = y0
+    y[1] = y1
+    lim = 1e250
+    for i in range(1, n - 1):
+        yn = ((12.0 - 10.0 * c[i]) * y[i] - c[i - 1] * y[i - 1]) / c[i + 1]
+        if yn > lim or yn < -lim or yn != yn:
+            if not renormalize:
+                raise NumericError("overflow", x=x0 + (i + 1) * h)
+            for j in range(i + 1):
+                y[j] *= 1e-200
+            yn *= 1e-200
+        y[i + 1] = yn
+    return np.array(y)
+
+
+@pytest.mark.parametrize("energy", [0.9, 2.2, 3.7])
+@pytest.mark.parametrize("seeds", ["zero_slope", "generic"])
+def test_numerov_kernel_matches_reference_loop(energy, seeds):
+    # away from eigenvalues, where the growing tails do not amplify rounding
+    grid = Grid(-6.0, 6.0, 6001)
+    h = grid.spacing
+    w = 2.0 * (0.5 * grid.points()**2 - energy)
+    y0, y1 = (0.0, h) if seeds == "zero_slope" else (1.0, 0.3)
+    ref = _numerov_loop(list(w), h, y0, y1)
+    y = _numerov_values(w, h, y0, y1)
+    assert np.max(np.abs(y - ref)) / np.max(np.abs(ref)) < 1e-10
+    assert count_nodes(y) == count_nodes(ref)
+
+
 # ----------------------------------------------------------------- pairs
 
 def test_make_pair_free_matches_analytic():
@@ -218,6 +260,14 @@ def test_harmonic_spectrum_omega_two():
     energies = find_bound_energies(PotentialSpec.harmonic(2.0), grid, n_max=2)
     assert energies[0] == pytest.approx(1.0, abs=1e-6)
     assert energies[1] == pytest.approx(3.0, abs=1e-6)
+
+
+def test_harmonic_spectrum_on_wide_grid():
+    # the search renormalizes several times in the long forbidden tails;
+    # the sign-only history keeps every node of the early oscillations
+    for grid in (Grid(-45.0, 45.0, 18001), Grid(-60.0, 60.0, 24001)):
+        energies = find_bound_energies(PotentialSpec.harmonic(1.0), grid, n_max=3)
+        assert np.max(np.abs(np.array(energies) - [0.5, 1.5, 2.5])) < 1e-6
 
 
 def test_free_potential_has_no_bound_states():
