@@ -32,7 +32,6 @@ from .schrodinger import (
     pair_from_solutions,
     pair_to_csv,
     physical_bound_solution,
-    potential_value,
 )
 from .reduced_action import (
     MicrostateParams,
@@ -41,7 +40,6 @@ from .reduced_action import (
     bohm_quantum_potential,
     build_field,
     combine_pair,
-    conjugate_momentum,
     field_to_csv,
     floyd_momentum,
     modified_potential_residual,
@@ -49,7 +47,6 @@ from .reduced_action import (
     probability_current,
     qshje_residual,
     reconstruct_wavefunction,
-    reduced_action,
     schwarzian,
 )
 from .dynamics import (
@@ -86,11 +83,8 @@ from .spherical import (
     AzimuthalAction,
     SphericalActionTriple,
     SphericalQuantumNumbers,
-    azimuthal_reduced_action,
     build_triple,
-    polar_reduced_action,
     polar_transform,
-    radial_reduced_action,
     radial_transform,
     total_action,
     total_qshje_residual,

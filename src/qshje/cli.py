@@ -6,9 +6,14 @@ digit floats so identical configurations produce byte-identical artifacts.
 Numeric failures exit with code 3 and a machine-readable JSON error object
 on stderr; configuration errors exit with code 2.
 
-Scenario options may come from a flat key=value config file (--config);
-explicit flags override file entries. QSHJE_GRID_POINTS overrides the
-default grid density.
+Every command that builds a field assembles its scenario -- units,
+potential, grid, microstate parameters, pair -- through the same helpers.
+Scenario options may come from a flat key=value config file (--config),
+whose entries become the subcommand's defaults, so explicit flags win.
+``sweep`` runs that scenario once per value of its one swept axis
+(--hbar-list, or --params-list with entries in the --params forms),
+serially, with every other flag applied to each value.
+QSHJE_GRID_POINTS overrides the default grid density.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -101,42 +105,19 @@ def _read_config_file(path) -> dict:
     return out
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill argparse defaults from the config file; flags win."""
-    if not getattr(args, "config", None):
-        return args
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  argv) -> argparse.Namespace:
+    """Make the config file's entries the chosen subcommand's defaults and
+    parse argv again; flags given on the command line win."""
     file_vals = _read_config_file(args.config)
-    for key, value in file_vals.items():
+    for key in file_vals:
         if not hasattr(args, key):
             raise ConfigError(f"unknown config key {key!r}",
                               module=_MODULE, op="config")
-        if key in args._explicit:
-            continue
-        setattr(args, key, value)
-    return args
-
-
-class _TrackingParser(argparse.ArgumentParser):
-    """Remembers which destinations were set explicitly on the command line."""
-
-    def parse_args(self, argv=None, namespace=None):
-        ns = super().parse_args(argv, namespace)
-        explicit = set()
-        argv = list(sys.argv[1:] if argv is None else argv)
-        for action in self._subcommand_actions():
-            for opt in action.option_strings:
-                if any(a == opt or a.startswith(opt + "=") for a in argv):
-                    explicit.add(action.dest)
-        ns._explicit = explicit
-        return ns
-
-    def _subcommand_actions(self):
-        acts = list(self._actions)
-        for act in self._actions:
-            if isinstance(act, argparse._SubParsersAction):
-                for sub in act.choices.values():
-                    acts.extend(sub._actions)
-        return acts
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    subs.choices[args.command].set_defaults(**file_vals)
+    return parser.parse_args(argv)
 
 
 def _build_units(args) -> UnitSystem:
@@ -163,15 +144,19 @@ def _build_potential(args, units) -> PotentialSpec:
                       "'potential'", module=_MODULE, op="config")
 
 
-def _build_grid(args) -> Grid:
-    text = args.grid
+def _build_grid(text, field) -> Grid:
+    """Grid from 'lo:hi[:npoints]'; field names the option it came from."""
     parts = str(text).split(":")
-    if len(parts) not in (2, 3):
-        raise ConfigError("grid must be 'xmin:xmax[:npoints]'; the violated "
-                          "field is 'grid'", module=_MODULE, op="config")
-    x_min, x_max = float(parts[0]), float(parts[1])
-    n = int(parts[2]) if len(parts) == 3 else _default_grid_points()
-    return Grid(x_min, x_max, n)
+    try:
+        if len(parts) not in (2, 3):
+            raise ValueError(f"{text!r} has {len(parts)} parts")
+        x_min, x_max = float(parts[0]), float(parts[1])
+        n = int(parts[2]) if len(parts) == 3 else None
+    except ValueError as exc:
+        raise ConfigError(f"{field} must be 'lo:hi[:npoints]' ({exc}); the "
+                          f"violated field is '{field}'",
+                          module=_MODULE, op="config") from exc
+    return Grid(x_min, x_max, _default_grid_points() if n is None else n)
 
 
 def _build_params(args) -> MicrostateParams:
@@ -219,6 +204,16 @@ def _make_pair_for(args, spec, grid, units):
                      target_wronskian=1.0 if target is None else target)
 
 
+def _scenario(args):
+    """Potential, pair and reduced-action field of one scenario."""
+    units = _build_units(args)
+    spec = _build_potential(args, units)
+    grid = _build_grid(args.grid, "grid")
+    params = _build_params(args)
+    pair = _make_pair_for(args, spec, grid, units)
+    return spec, pair, build_field(pair, params)
+
+
 # ----------------------------------------------------------------------
 # Subcommand implementations
 # ----------------------------------------------------------------------
@@ -226,19 +221,14 @@ def _make_pair_for(args, spec, grid, units):
 def _cmd_pair(args) -> int:
     units = _build_units(args)
     spec = _build_potential(args, units)
-    grid = _build_grid(args)
+    grid = _build_grid(args.grid, "grid")
     pair = _make_pair_for(args, spec, grid, units)
     pair_to_csv(pair, args.output)
     return 0
 
 
 def _cmd_action(args) -> int:
-    units = _build_units(args)
-    spec = _build_potential(args, units)
-    grid = _build_grid(args)
-    params = _build_params(args)
-    pair = _make_pair_for(args, spec, grid, units)
-    field = build_field(pair, params)
+    spec, _, field = _scenario(args)
     field_to_csv(field, spec, args.output)
     return 0
 
@@ -251,17 +241,16 @@ def _parse_span(text, what):
     return float(parts[0]), float(parts[1])
 
 
-def _cmd_trajectory(args) -> int:
-    units = _build_units(args)
-    spec = _build_potential(args, units)
-    grid = _build_grid(args)
-    params = _build_params(args)
-    pair = _make_pair_for(args, spec, grid, units)
-    field = build_field(pair, params)
+def _integrate(args):
+    spec, _, field = _scenario(args)
     t0, t1 = _parse_span(args.t, "t")
-    traj = integrate_trajectory(field, spec, float(args.x0), (t0, t1),
+    return integrate_trajectory(field, spec, float(args.x0), (t0, t1),
                                 tol=float(args.tol),
                                 n_samples=int(args.samples))
+
+
+def _cmd_trajectory(args) -> int:
+    traj = _integrate(args)
     trajectory_to_csv(traj, args.output)
     if traj.status != "completed":
         sys.stderr.write(json.dumps({
@@ -274,7 +263,7 @@ def _cmd_trajectory(args) -> int:
 def _cmd_quantize(args) -> int:
     units = _build_units(args)
     spec = _build_potential(args, units)
-    grid = _build_grid(args)
+    grid = _build_grid(args.grid, "grid")
     record = bound_state(spec, grid, int(args.state), units)
     params_list = enumerate_microstates(record, int(args.microstates))
     payload = []
@@ -293,8 +282,8 @@ def _cmd_spherical(args) -> int:
     inner = PotentialSpec.free() if args.potential == "free" \
         else _build_potential(args, units)
     qn = SphericalQuantumNumbers(int(args.ell), int(args.m_ell))
-    r_grid = _build_grid_from(args.r_window, args)
-    th_grid = _build_grid_from(args.theta_window, args)
+    r_grid = _build_grid(args.r_window, "r_window")
+    th_grid = _build_grid(args.theta_window, "theta_window")
     params = _build_params(args)
     triple = build_triple(inner, qn, float(args.energy), r_grid, th_grid,
                           params, params, params, units)
@@ -310,15 +299,6 @@ def _cmd_spherical(args) -> int:
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
-
-
-def _build_grid_from(text, args) -> Grid:
-    parts = str(text).split(":")
-    if len(parts) not in (2, 3):
-        raise ConfigError("window must be 'lo:hi[:npoints]'",
-                          module=_MODULE, op="config")
-    n = int(parts[2]) if len(parts) == 3 else _default_grid_points()
-    return Grid(float(parts[0]), float(parts[1]), n)
 
 
 def _cmd_compare_floyd(args) -> int:
@@ -342,19 +322,14 @@ def _cmd_compare_floyd(args) -> int:
 
 
 def _cmd_residuals(args) -> int:
-    units = _build_units(args)
-    spec = _build_potential(args, units)
-    grid = _build_grid(args)
-    params = _build_params(args)
-    pair = _make_pair_for(args, spec, grid, units)
-    field = build_field(pair, params)
+    spec, pair, field = _scenario(args)
     margin = 5
     xs = field.x[margin:-margin]
     q = qshje_residual(field, spec, xs)
     vb_a = bohm_quantum_potential(field, xs, route="amplitude")
     vb_b = bohm_quantum_potential(field, xs, route="bracket")
     norm = max(abs(field.energy), 1.0)
-    i_mid = grid.n_points // 2
+    i_mid = pair.grid.n_points // 2
     mod = modified_potential_residual(field, spec, field.x[i_mid])
     payload = {
         "energy": field.energy,
@@ -397,55 +372,38 @@ def _cmd_sweep(args) -> int:
     if not axis_values:
         raise ConfigError("sweep list is empty", module=_MODULE, op="sweep")
 
-    def run_one(value):
-        units = UnitSystem(hbar=float(value), mass=float(args.mass)) \
-            if swept[0] == "hbar" else _build_units(args)
-        spec = _build_potential(args, units)
-        grid = _build_grid(args)
-        if swept[0] == "params":
-            class _A:  # narrow shim for _build_params
-                params = value
-            p = _build_params(_A)
-        else:
-            p = _build_params(args)
-        if args.mode == "trajectory":
-            pair = analytic_free_pair(float(args.energy), grid, units) \
-                if args.potential == "free" and args.analytic_pair else \
-                make_pair(spec, float(args.energy), grid, units)
-            field = build_field(pair, p)
-            t0, t1 = _parse_span(args.t, "t")
-            traj = integrate_trajectory(field, spec, float(args.x0), (t0, t1),
-                                        tol=float(args.tol),
-                                        n_samples=int(args.samples))
-            classical = float(args.x0) + math.sqrt(2.0 * float(args.energy)
-                                                   / units.mass) * (traj.t - t0)
-            dev = np.abs(traj.x - classical)
-            rows = [(traj.t[i], traj.x[i], traj.xdot[i], float(dev[i]),
-                     float(np.max(dev))) for i in range(traj.t.size)]
-            header = "sweep_value,t,x,xdot,abs_dev_from_classical,max_dev"
-        elif args.mode == "quantize":
-            record = bound_state(spec, grid, int(args.state), units)
-            j = action_variable(record.pair, p)
-            h_planck = 2.0 * math.pi * units.hbar
-            rows = [(float(args.state), record.energy, j / h_planck,
-                     record.node_count_phys, record.node_count_partner)]
-            header = "sweep_value,state,energy,J_over_h,node_phys,node_partner"
-        else:
-            raise ConfigError(f"unknown sweep mode {args.mode!r}",
-                              module=_MODULE, op="sweep")
-        return rows, header
+    if args.mode not in ("trajectory", "quantize"):
+        raise ConfigError(f"unknown sweep mode {args.mode!r}",
+                          module=_MODULE, op="sweep")
 
-    with ThreadPoolExecutor(max_workers=min(8, len(axis_values))) as pool:
-        results = list(pool.map(run_one, axis_values))
-
-    header = results[0][1]
-    lines = [header]
-    for value, (rows, _) in zip(axis_values, results):
+    lines = []
+    for value in axis_values:
+        # a fresh copy per value: _build_params may set analytic_pair on it
+        one = argparse.Namespace(**vars(args))
+        setattr(one, swept[0], value)
         tag = _fmt(float(value)) if swept[0] == "hbar" else f'"{value}"'
-        for row in rows:
-            lines.append(",".join([str(tag)] + [_fmt(float(c)) for c in row]))
+        if args.mode == "trajectory":
+            traj = _integrate(one)
+            classical = float(one.x0) + math.sqrt(
+                2.0 * float(one.energy) / float(one.mass)) * (traj.t - traj.t[0])
+            dev = np.abs(traj.x - classical)
+            header = "sweep_value,t,x,xdot,abs_dev_from_classical,max_dev"
+            rows = [(traj.t[i], traj.x[i], traj.xdot[i], dev[i], np.max(dev))
+                    for i in range(traj.t.size)]
+        else:
+            units = _build_units(one)
+            spec = _build_potential(one, units)
+            grid = _build_grid(one.grid, "grid")
+            params = _build_params(one)
+            record = bound_state(spec, grid, int(one.state), units)
+            j = action_variable(record.pair, params)
+            header = "sweep_value,state,energy,J_over_h,node_phys,node_partner"
+            rows = [(float(one.state), record.energy,
+                     j / (2.0 * math.pi * units.hbar),
+                     record.node_count_phys, record.node_count_partner)]
+        lines += [",".join([tag] + [_fmt(float(c)) for c in row]) for row in rows]
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([header] + lines) + "\n")
     return 0
 
 
@@ -474,10 +432,11 @@ def _add_common(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _TrackingParser(prog="qshje",
-                             description="Deterministic quantum trajectories "
-                                         "from the stationary quantum "
-                                         "Hamilton-Jacobi equation.")
+    parser = argparse.ArgumentParser(prog="qshje",
+                                     description="Deterministic quantum "
+                                                 "trajectories from the "
+                                                 "stationary quantum "
+                                                 "Hamilton-Jacobi equation.")
     subs = parser.add_subparsers(dest="command")
 
     p_pair = subs.add_parser("pair", help="independent solution pair to CSV")
@@ -554,7 +513,8 @@ def run_command(argv=None) -> int:
         parser.print_usage()
         return 2
     try:
-        args = _merge_config(args)
+        if getattr(args, "config", None):
+            args = _apply_config(parser, args, argv)
         if args.command not in ("accept",) and not getattr(args, "output", None):
             raise ConfigError("an --output file is required; the violated "
                               "field is 'output'", module=_MODULE, op="config")

@@ -24,7 +24,7 @@ from .errors import (
     ParameterError,
     SingularityError,
 )
-from .reduced_action import ReducedActionField
+from .reduced_action import ReducedActionField, continuous_arctan_tan
 from .schrodinger import CSV_FLOAT_FORMAT, NATURAL_UNITS, PotentialSpec, UnitSystem
 
 _MODULE = "dynamics"
@@ -211,13 +211,7 @@ def free_particle_closed_form(energy: float, a_const: float, b_const: float,
     hbar, m = units.hbar, units.mass
     k = math.sqrt(2.0 * m * energy)
     tau = 2.0 * energy * (np.asarray(t, dtype=float) - t0) / hbar
-    n = np.floor(tau / math.pi + 0.5)
-    sgn = math.copysign(1.0, a_const)
-    # tan evaluated on the branch-reduced argument keeps the unwrap counter
-    # and the arctan in step even exactly at a pole
-    tau_red = tau - math.pi * n
-    core = np.arctan(a_const * np.tan(tau_red) + b_const)
-    out = (hbar / k) * (core + sgn * math.pi * n) + x0
+    out = (hbar / k) * continuous_arctan_tan(tau, a_const, b_const) + x0
     return out if out.ndim else float(out)
 
 
@@ -252,10 +246,7 @@ def dispersion_free_trajectory(energy: float, a: float, b: float, c: float, x,
     s = math.sqrt(a * b - c**2 / 4.0)
     k = math.sqrt(2.0 * m * energy) / hbar
     u = k * np.asarray(x, dtype=float)
-    n = np.floor(u / math.pi + 0.5)
-    u_red = u - math.pi * n
-    core = np.arctan((b * np.tan(u_red) + 0.5 * c) / s)
-    out = (hbar / (2.0 * energy)) * (core + math.pi * n)
+    out = (hbar / (2.0 * energy)) * continuous_arctan_tan(u, b / s, 0.5 * c / s)
     return out if out.ndim else float(out)
 
 

@@ -113,6 +113,56 @@ class MicrostateParams:
                              module=_MODULE, op="MicrostateParams.from_json")
 
 
+def _combine(params: MicrostateParams, f1, f2):
+    """The linear map of a basis pair (f1, f2) to (phi1, phi2) whose arctan
+    ratio is S0/hbar; being linear, it maps derivatives the same way."""
+    if params.form == "mu_nu":
+        return params.nu * f1 + f2, f1 + params.mu * f2
+    return f2, (params.b * f1 + 0.5 * params.c * f2) / params.floyd_s
+
+
+def _momentum_ladder(hbar, w, g1, g2, dg1, dg2, gddg):
+    """P = hbar w/D with D = g1^2 + g2^2, and its first two derivatives.
+
+    w is the Wronskian g1 g2' - g1' g2 and gddg is g1 g1'' + g2 g2'', so
+    D' = 2 (g1 g1' + g2 g2') and D'' = 2 (g1'^2 + g2'^2) + 2 gddg.
+    """
+    den = g1**2 + g2**2
+    p = hbar * w / den
+    dden = 2.0 * (g1 * dg1 + g2 * dg2)
+    d2den = 2.0 * (dg1**2 + dg2**2) + 2.0 * gddg
+    dp = -p * dden / den
+    d2p = p * (2.0 * (dden / den)**2 - d2den / den)
+    return p, dp, d2p
+
+
+def _unwrapped_angle(g1, g2):
+    """Branch-unwrapped arctan(g2/g1) over an array, anchored so its first
+    sample is the principal value."""
+    angle = np.unwrap(np.arctan2(g2, g1))
+    if g1[0] != 0.0:
+        principal = math.atan(g2[0] / g1[0])
+    else:
+        principal = math.copysign(math.pi / 2.0, g2[0])
+    return angle - round((angle[0] - principal) / math.pi) * math.pi
+
+
+def continuous_arctan_tan(u, a, b):
+    """arctan(a tan u + b) continued monotonically across the poles of tan.
+
+    The continued angle is the argument of cos u + i (a sin u + b cos u);
+    taking out its winding sgn(a) u leaves a pi-periodic argument that
+    stays inside (-pi, pi), so arctan2 needs no branch counter and has no
+    jump at a pole. a must be nonzero.
+    """
+    s = math.copysign(1.0, a)
+    u = np.asarray(u, dtype=float)
+    c, sn = np.cos(u), np.sin(u)
+    y = a * sn + b * c
+    # (c + i y) e^{-i s u} = c^2 + s y sn + i c (y - s sn)
+    return s * u + np.arctan2(c * (y - s * sn), c * c + s * y * sn)
+
+
 def combine_pair(pair: SolutionPair, params: MicrostateParams):
     """Linear combinations (phi1, phi2) whose arctan ratio is S0/hbar.
 
@@ -120,23 +170,12 @@ def combine_pair(pair: SolutionPair, params: MicrostateParams):
     constant Wronskian phi1*phi2' - phi1'*phi2 expressed through the pair
     Wronskian: (mu*nu - 1)*W for the (mu, nu) form.
     """
-    t1, t2 = pair.sol1.values, pair.sol2.values
-    d1, d2 = pair.sol1.derivs, pair.sol2.derivs
+    phi1, phi2 = _combine(params, pair.sol1.values, pair.sol2.values)
+    dphi1, dphi2 = _combine(params, pair.sol1.derivs, pair.sol2.derivs)
     if params.form == "mu_nu":
-        mu, nu = params.mu, params.nu
-        phi1 = nu * t1 + t2
-        phi2 = t1 + mu * t2
-        dphi1 = nu * d1 + d2
-        dphi2 = d1 + mu * d2
-        w_combo = (mu * nu - 1.0) * pair.wronskian
+        w_combo = (params.mu * params.nu - 1.0) * pair.wronskian
     else:
-        a, b, c = params.a, params.b, params.c
-        s = params.floyd_s
-        phi1 = t2
-        phi2 = (b * t1 + 0.5 * c * t2) / s
-        dphi1 = d2
-        dphi2 = (b * d1 + 0.5 * c * d2) / s
-        w_combo = -b * pair.wronskian / s
+        w_combo = -params.b * pair.wronskian / params.floyd_s
     if abs(w_combo) < 1e-14 * max(1.0, abs(pair.wronskian)):
         raise ParameterError("combination is dependent (zero Wronskian)",
                              module=_MODULE, op="combine_pair")
@@ -171,23 +210,11 @@ class ReducedActionField:
         if np.any(den <= 0.0):
             raise NumericError("phi1^2 + phi2^2 vanished",
                                module=_MODULE, op="ReducedActionField")
-        self.p = hbar * w_combo / den
-
-        # analytic first/second derivative of P via D = phi1^2 + phi2^2
-        dden = 2.0 * (phi1 * dphi1 + phi2 * dphi2)
-        wfac = 2.0 * m / hbar**2
-        d2den = 2.0 * (dphi1**2 + dphi2**2) + 2.0 * wfac * (pair.v - pair.energy) * den
-        self.dp = -self.p * dden / den
-        self.d2p = self.p * (2.0 * (dden / den)**2 - d2den / den)
-
-        # branch-unwrapped S0 anchored to the principal value at x_min
-        angle = np.unwrap(np.arctan2(phi2, phi1))
-        if phi1[0] != 0.0:
-            principal = math.atan(phi2[0] / phi1[0])
-        else:
-            principal = math.copysign(math.pi / 2.0, phi2[0])
-        shift = round((angle[0] - principal) / math.pi) * math.pi
-        self.s0 = hbar * (angle - shift)
+        # phi'' = (2m/hbar^2)(V - E) phi gives phi1 phi1'' + phi2 phi2''
+        gddg = 2.0 * m / hbar**2 * (pair.v - pair.energy) * den
+        self.p, self.dp, self.d2p = _momentum_ladder(
+            hbar, w_combo, phi1, phi2, dphi1, dphi2, gddg)
+        self.s0 = hbar * _unwrapped_angle(phi1, phi2)
 
         step = np.diff(self.s0)
         if np.any(np.abs(step) >= 0.5 * math.pi * hbar):
@@ -209,7 +236,6 @@ class ReducedActionField:
                                module=_MODULE, op="ReducedActionField")
 
         # splines built eagerly: the field never mutates after construction
-        # and can be shared across threads read-only
         self._s0_spline = CubicSpline(self.x, self.s0)
         self._p_spline = CubicSpline(self.x, self.p)
         self._dp_spline = CubicSpline(self.x, self.dp)
@@ -252,16 +278,6 @@ class ReducedActionField:
 def build_field(pair: SolutionPair, params: MicrostateParams) -> ReducedActionField:
     """Construct the reduced-action field for a pair and parameter set."""
     return ReducedActionField(pair, params)
-
-
-def reduced_action(pair: SolutionPair, params: MicrostateParams, x):
-    """S0(x), continuous (branch-unwrapped) over the grid."""
-    return build_field(pair, params).s0_at(x)
-
-
-def conjugate_momentum(pair: SolutionPair, params: MicrostateParams, x):
-    """P(x) = hbar (phi1 phi2' - phi1' phi2)/(phi1^2 + phi2^2)."""
-    return build_field(pair, params).p_at(x)
 
 
 def floyd_momentum(pair: SolutionPair, params: MicrostateParams, x,

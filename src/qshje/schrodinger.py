@@ -235,11 +235,6 @@ class PotentialSpec:
         return out if out.ndim else float(out)
 
 
-def potential_value(spec: PotentialSpec, x, units: UnitSystem = NATURAL_UNITS):
-    """Evaluate V(x) for a potential spec."""
-    return spec.value(x, units)
-
-
 @dataclass
 class Solution:
     """Samples of one real Schrodinger solution and its first derivative."""
@@ -364,10 +359,13 @@ def _numerov_derivatives(y, w, h, dy0, w_ghost, y_ghost):
 
 
 def integrate_schrodinger(spec: PotentialSpec, energy: float, grid: Grid,
-                          init, units: UnitSystem = NATURAL_UNITS) -> Solution:
+                          init, units: UnitSystem = NATURAL_UNITS,
+                          from_right: bool = False) -> Solution:
     """Integrate psi'' = (2m/hbar^2)(V - E) psi across the grid.
 
-    ``init`` is (value, derivative) at x_min. Fourth-order accurate; the
+    ``init`` is (value, derivative) at x_min, or at x_max with from_right,
+    which sweeps leftward with the signed step -h; the samples are
+    returned in grid order either way. Fourth-order accurate; the
     derivative is carried by the integrator rather than re-differenced.
     """
     y0, dy0 = float(init[0]), float(init[1])
@@ -382,6 +380,8 @@ def integrate_schrodinger(spec: PotentialSpec, energy: float, grid: Grid,
         raise NumericError("non-finite potential values on grid",
                            module=_MODULE, op="integrate_schrodinger")
     w = coeff * (v - energy)
+    if from_right:
+        x, w, h = x[::-1], w[::-1], -h
 
     def w_of_x(xx):
         return coeff * (spec.value(xx, units) - energy)
@@ -389,8 +389,9 @@ def integrate_schrodinger(spec: PotentialSpec, energy: float, grid: Grid,
     y1 = _rk4_first_step(w_of_x, x[0], h, y0, dy0)
     y = _numerov_values(w, h, y0, y1, x0=x[0])
 
-    # ghost point just past x_max for the last derivative sample; tabulated
-    # potentials need only cover the grid, so fall back to extrapolation
+    # ghost point one step past the last sample for its derivative;
+    # tabulated potentials need only cover the grid, so fall back to
+    # extrapolation
     x_ghost = x[-1] + h
     try:
         w_ghost = w_of_x(x_ghost)
@@ -402,38 +403,26 @@ def integrate_schrodinger(spec: PotentialSpec, energy: float, grid: Grid,
     y_ghost = ((12.0 - 10.0 * c_n) * y[-1] - c_nm1 * y[-2]) / c_g
 
     d = _numerov_derivatives(y, w, h, dy0, w_ghost, y_ghost)
+    if from_right:
+        y, d = y[::-1], d[::-1]
     return Solution(grid=grid, energy=energy, units=units, values=y, derivs=d)
 
 
-def _reversed_solution(spec, energy, grid, init, units):
-    """Integrate from x_max leftward; returns values/derivs in grid order."""
-    x = grid.points()
-    h = grid.spacing
-    coeff = 2.0 * units.mass / units.hbar**2
-    v = np.asarray(spec.value(x, units), dtype=float)
-    w = coeff * (v - energy)
-    wr = w[::-1]
-
-    def w_of_s(s):  # s measured from x_max going left
-        return coeff * (spec.value(grid.x_max - s, units) - energy)
-
-    y0, dy0 = float(init[0]), -float(init[1])   # d/ds = -d/dx
-    y1 = _rk4_first_step(w_of_s, 0.0, h, y0, dy0)
-    yr = _numerov_values(wr, h, y0, y1, x0=0.0)
-
-    s_ghost = (grid.n_points) * h
-    try:
-        w_ghost = w_of_s(s_ghost)
-    except DomainError:
-        w_ghost = 2.0 * wr[-1] - wr[-2]
-    c_nm1 = 1.0 - (h * h / 12.0) * wr[-2]
-    c_n = 1.0 - (h * h / 12.0) * wr[-1]
-    c_g = 1.0 - (h * h / 12.0) * w_ghost
-    y_ghost = ((12.0 - 10.0 * c_n) * yr[-1] - c_nm1 * yr[-2]) / c_g
-    dr = _numerov_derivatives(yr, wr, h, dy0, w_ghost, y_ghost)
-
-    return Solution(grid=grid, energy=energy, units=units,
-                    values=yr[::-1], derivs=-dr[::-1])
+def _wronskian_gate(sol1: Solution, sol2: Solution, op: str,
+                    drift_tol: float = 1e-6) -> float:
+    """Median Wronskian of two solutions; rejects dependent solutions and a
+    relative drift across the grid above drift_tol."""
+    w_samples = sol1.values * sol2.derivs - sol1.derivs * sol2.values
+    w_ref = float(np.median(w_samples))
+    if w_ref == 0.0 or not np.isfinite(w_ref):
+        raise ParameterError("solutions are dependent (zero Wronskian)",
+                             module=_MODULE, op=op)
+    drift = float(np.max(np.abs(w_samples - w_ref)) / abs(w_ref))
+    if drift > drift_tol:
+        raise IntegrationQualityError(
+            f"Wronskian drift {drift:.3e} exceeds {drift_tol:.1e}; refine the grid",
+            module=_MODULE, op=op)
+    return w_ref
 
 
 def make_pair(spec: PotentialSpec, energy: float, grid: Grid,
@@ -450,17 +439,7 @@ def make_pair(spec: PotentialSpec, energy: float, grid: Grid,
                              module=_MODULE, op="make_pair")
     s1 = integrate_schrodinger(spec, energy, grid, (1.0, 0.0), units)
     s2 = integrate_schrodinger(spec, energy, grid, (0.0, 1.0), units)
-    w_samples = s1.values * s2.derivs - s1.derivs * s2.values
-    w_ref = float(np.median(w_samples))
-    if w_ref == 0.0 or not np.isfinite(w_ref):
-        raise ParameterError("solutions are dependent (zero Wronskian)",
-                             module=_MODULE, op="make_pair")
-    drift = float(np.max(np.abs(w_samples - w_ref)) / abs(w_ref))
-    if drift > 1e-6:
-        raise IntegrationQualityError(
-            f"Wronskian drift {drift:.3e} exceeds 1e-6; refine the grid",
-            module=_MODULE, op="make_pair")
-    scale = target_wronskian / w_ref
+    scale = target_wronskian / _wronskian_gate(s1, s2, "make_pair")
     s2 = Solution(grid=grid, energy=energy, units=units,
                   values=s2.values * scale, derivs=s2.derivs * scale)
     if np.any(s1.values**2 + s2.values**2 <= 0.0):
@@ -477,16 +456,7 @@ def pair_from_solutions(sol1: Solution, sol2: Solution, spec: PotentialSpec,
     if sol1.grid != sol2.grid or sol1.energy != sol2.energy:
         raise ParameterError("solutions must share grid and energy",
                              module=_MODULE, op="pair_from_solutions")
-    w_samples = sol1.values * sol2.derivs - sol1.derivs * sol2.values
-    w_ref = float(np.median(w_samples))
-    if w_ref == 0.0 or not np.isfinite(w_ref):
-        raise ParameterError("solutions are dependent (zero Wronskian)",
-                             module=_MODULE, op="pair_from_solutions")
-    drift = float(np.max(np.abs(w_samples - w_ref)) / abs(w_ref))
-    if drift > drift_tol:
-        raise IntegrationQualityError(
-            f"Wronskian drift {drift:.3e} exceeds {drift_tol:.1e}",
-            module=_MODULE, op="pair_from_solutions")
+    w_ref = _wronskian_gate(sol1, sol2, "pair_from_solutions", drift_tol)
     v = np.asarray(spec.value(sol1.grid.points(), sol1.units), dtype=float)
     return SolutionPair(grid=sol1.grid, energy=sol1.energy, units=sol1.units,
                         sol1=sol1, sol2=sol2, wronskian=w_ref, v=v)
@@ -624,7 +594,8 @@ def physical_bound_solution(spec: PotentialSpec, energy: float, grid: Grid,
     y_l, d_l = envelope_init(v[0])
     y_r, d_r = envelope_init(v[-1])
     sl = integrate_schrodinger(spec, energy, left_grid, (y_l, d_l), units)
-    sr = _reversed_solution(spec, energy, right_grid, (y_r, -d_r), units)
+    sr = integrate_schrodinger(spec, energy, right_grid, (y_r, -d_r), units,
+                               from_right=True)
     if sr.values[0] == 0.0 or sl.values[-1] == 0.0:
         raise NumericError("matching point fell on a node; shift the grid",
                            module=_MODULE, op="physical_bound_solution",

@@ -27,7 +27,11 @@ from .errors import DomainError, ParameterError
 from .reduced_action import (
     MicrostateParams,
     ReducedActionField,
+    _combine,
+    _momentum_ladder,
+    _unwrapped_angle,
     build_field,
+    continuous_arctan_tan,
     qshje_residual,
 )
 from .schrodinger import (
@@ -123,24 +127,10 @@ def polar_equation_residual(t_values, theta_grid, qn: SphericalQuantumNumbers):
 
 
 # ----------------------------------------------------------------------
-# Component reduced actions
+# Component reduced actions: Z(r) and L(theta) are ``build_field`` of the
+# radial and polar pairs; M(phi) is the same construction on the analytic
+# azimuthal basis.
 # ----------------------------------------------------------------------
-
-def radial_reduced_action(pair: SolutionPair,
-                          params: MicrostateParams) -> ReducedActionField:
-    """Z(r): the 1-D construction applied to a pair built on the radial
-    effective potential."""
-    return build_field(pair, params)
-
-
-def polar_reduced_action(pair: SolutionPair,
-                         params: MicrostateParams) -> ReducedActionField:
-    """L(theta): the 1-D construction on a transformed polar pair.
-
-    The arctan argument is the same whether built from T or curly-T
-    solutions: the sqrt(sin) factor cancels in the ratio."""
-    return build_field(pair, params)
-
 
 def make_radial_pair(inner: PotentialSpec, qn: SphericalQuantumNumbers,
                      energy: float, grid: Grid,
@@ -156,6 +146,9 @@ def make_radial_pair(inner: PotentialSpec, qn: SphericalQuantumNumbers,
 def make_polar_pair(qn: SphericalQuantumNumbers, grid: Grid,
                     units: UnitSystem = NATURAL_UNITS,
                     target_wronskian: float = 1.0) -> SolutionPair:
+    """Pair of the transformed polar equation. L(theta) is ``build_field``
+    of this pair: the arctan argument is the same whether built from T or
+    curly-T solutions, since the sqrt(sin) factor cancels in the ratio."""
     if grid.x_min <= 0.0 or grid.x_max >= math.pi:
         raise DomainError("polar grid must lie strictly inside (0, pi)",
                           module=_MODULE, op="make_polar_pair", x=grid.x_min)
@@ -196,24 +189,8 @@ class AzimuthalAction:
 
     def _combo(self, phi):
         f1, f2, d1, d2, dd1, dd2 = self._basis(phi)
-        if self.params.form == "mu_nu":
-            eps, tau = self.params.mu, self.params.nu
-            g1 = tau * f1 + f2
-            g2 = f1 + eps * f2
-            dg1 = tau * d1 + d2
-            dg2 = d1 + eps * d2
-            ddg1 = tau * dd1 + dd2
-            ddg2 = dd1 + eps * dd2
-        else:
-            a, b, c = self.params.a, self.params.b, self.params.c
-            s = self.params.floyd_s
-            g1 = f2
-            g2 = (b * f1 + 0.5 * c * f2) / s
-            dg1 = d2
-            dg2 = (b * d1 + 0.5 * c * d2) / s
-            ddg1 = dd2
-            ddg2 = (b * dd1 + 0.5 * c * dd2) / s
-        return g1, g2, dg1, dg2, ddg1, ddg2
+        return (*_combine(self.params, f1, f2), *_combine(self.params, d1, d2),
+                *_combine(self.params, dd1, dd2))
 
     def values(self, phi):
         """M(phi), unwrapped; phi may be a scalar or a sorted fine array."""
@@ -222,47 +199,26 @@ class AzimuthalAction:
         scalar = np.isscalar(phi)
         phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
         if m != 0 and self.params.form == "floyd":
-            # exact branch bookkeeping on the tan form: evaluate tan on the
-            # branch-reduced argument so the counter and arctan stay in step
+            # exact branch continuation of the tan form, poles included
             b, c, s = self.params.b, self.params.c, self.params.floyd_s
-            u = m * phi_arr
-            n = np.floor(u / math.pi + 0.5)
-            u_red = u - math.pi * n
-            core = np.arctan((b * np.tan(u_red) + 0.5 * c) / s)
-            out = hbar * (core + math.pi * n)
-            return float(out[0]) if scalar else out
-        if scalar or phi_arr.size < 3:
-            # local principal value; branch tracking needs an array
-            g1, g2, *_ = self._combo(phi_arr)
-            out = hbar * np.arctan2(g2, g1)
+            out = hbar * continuous_arctan_tan(m * phi_arr, b / s, 0.5 * c / s)
             return float(out[0]) if scalar else out
         g1, g2, *_ = self._combo(phi_arr)
-        angle = np.unwrap(np.arctan2(g2, g1))
-        if g1[0] != 0.0:
-            principal = math.atan(g2[0] / g1[0])
-        else:
-            principal = math.copysign(math.pi / 2.0, g2[0])
-        shift = round((angle[0] - principal) / math.pi) * math.pi
-        return hbar * (angle - shift)
+        if scalar or phi_arr.size < 3:
+            # local principal value; branch tracking needs an array
+            out = hbar * np.arctan2(g2, g1)
+            return float(out[0]) if scalar else out
+        return hbar * _unwrapped_angle(g1, g2)
 
     def momentum(self, phi):
         """dM/dphi from the closed Wronskian formula."""
-        hbar = self.units.hbar
-        g1, g2, dg1, dg2, _, _ = self._combo(phi)
-        return hbar * (g1 * dg2 - dg1 * g2) / (g1**2 + g2**2)
+        return self.momentum_derivatives(phi)[0]
 
     def momentum_derivatives(self, phi):
         """(M', M'', M''') analytic."""
-        hbar = self.units.hbar
         g1, g2, dg1, dg2, ddg1, ddg2 = self._combo(phi)
-        den = g1**2 + g2**2
-        w = g1 * dg2 - dg1 * g2         # constant for the true basis
-        dden = 2.0 * (g1 * dg1 + g2 * dg2)
-        d2den = 2.0 * (dg1**2 + dg2**2 + g1 * ddg1 + g2 * ddg2)
-        p = hbar * w / den
-        dp = -p * dden / den
-        d2p = p * (2.0 * (dden / den)**2 - d2den / den)
-        return p, dp, d2p
+        return _momentum_ladder(self.units.hbar, g1 * dg2 - dg1 * g2, g1, g2,
+                                dg1, dg2, g1 * ddg1 + g2 * ddg2)
 
     def qshje_residual(self, phi):
         """(M')^2 - (hbar^2/2) {M, phi} - m_l^2 hbar^2 (zero right side for
@@ -272,13 +228,6 @@ class AzimuthalAction:
         bracket = 1.5 * (dp / p)**2 - d2p / p
         return p**2 - (hbar**2 / 2.0) * bracket - \
             self.qn.m_ell**2 * hbar**2
-
-
-def azimuthal_reduced_action(qn: SphericalQuantumNumbers,
-                             params: MicrostateParams, phi,
-                             units: UnitSystem = NATURAL_UNITS):
-    """M(phi) values for the given parameters (see AzimuthalAction)."""
-    return AzimuthalAction(qn, params, units).values(phi)
 
 
 # ----------------------------------------------------------------------
@@ -351,13 +300,13 @@ def build_triple(inner: PotentialSpec, qn: SphericalQuantumNumbers,
     default uses lam = l(l+1) everywhere.
     """
     rpair = make_radial_pair(inner, qn, energy, r_grid, units)
-    radial = radial_reduced_action(rpair, radial_params)
+    radial = build_field(rpair, radial_params)
     if polar_lam_override is None:
         e_theta = polar_energy(qn, units)
     else:
         e_theta = (polar_lam_override + 0.25) * units.hbar**2 / (2.0 * units.mass)
     ppair = make_pair(polar_potential(qn), e_theta, theta_grid, units)
-    polar = polar_reduced_action(ppair, polar_params)
+    polar = build_field(ppair, polar_params)
     azim = AzimuthalAction(qn, azimuthal_params, units)
     return SphericalActionTriple(radial=radial, polar=polar, azimuthal=azim,
                                  qn=qn, inner=inner, energy=energy)

@@ -1,5 +1,6 @@
 """CLI contract: artifacts, determinism, exit codes, error JSON, sweeps."""
 
+import csv
 import json
 import math
 import os
@@ -216,6 +217,60 @@ def test_sweep_trajectory_column_count(tmp_path):
     assert code == 0
     lines = out.read_text().splitlines()
     assert len(lines[0].split(",")) == len(lines[1].split(","))
+
+
+def _sweep_x(path):
+    # a swept params value is a quoted cell that holds commas
+    rows = list(csv.DictReader(path.read_text().splitlines()))
+    return np.array([float(row["x"]) for row in rows])
+
+
+def test_sweep_params_list_rejects_ab_off_free(tmp_path, capsys):
+    # each --params-list entry follows the --params rules, as in trajectory
+    code = run(["sweep", "--potential", "harmonic", "--omega", "1",
+                "--grid=-2:2:1001", "--params-list", "A=1,B=0.5",
+                "-o", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert "params" in json.loads(capsys.readouterr().err.strip())["message"]
+
+
+def test_sweep_honours_wronskian(tmp_path):
+    flags = ["--potential", "free", "--energy", "0.5", "--grid=-1:10:4001",
+             "--params=mu=0.4,nu=-0.3", "--x0", "0", "--t", "0:6",
+             "--samples", "50", "--wronskian", "2"]
+    swept, single = tmp_path / "s.csv", tmp_path / "t.csv"
+    assert run(["sweep", "--hbar-list", "1"] + flags + ["-o", str(swept)]) == 0
+    assert run(["trajectory"] + flags + ["-o", str(single)]) == 0
+    x = np.genfromtxt(single, delimiter=",", names=True)["x"]
+    assert np.array_equal(_sweep_x(swept), x)
+
+
+def test_sweep_ab_params_use_analytic_pair(tmp_path):
+    # A=..,B=.. presumes the (sin, cos) basis in sweeps as in trajectory
+    flags = ["--potential", "free", "--energy", "0.5", "--grid=-2:14:4001",
+             "--x0", "0", "--t", "0:6", "--samples", "50"]
+    swept, single = tmp_path / "s.csv", tmp_path / "t.csv"
+    assert run(["sweep", "--params-list", "A=1,B=0.5"] + flags
+               + ["-o", str(swept)]) == 0
+    assert run(["trajectory", "--params", "A=1,B=0.5"] + flags
+               + ["-o", str(single)]) == 0
+    x = np.genfromtxt(single, delimiter=",", names=True)["x"]
+    assert np.array_equal(_sweep_x(swept), x)
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["action", "--grid=0:6:60.5"], "grid"),
+    (["action", "--grid=a:1"], "grid"),
+    (["action", "--grid=1"], "grid"),
+    (["spherical", "--r-window", "a:b"], "r_window"),
+    (["spherical", "--theta-window", "0.3:x"], "theta_window"),
+])
+def test_grid_parse_error_names_field(tmp_path, capsys, argv, field):
+    code = run(argv + ["-o", str(tmp_path / "out")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["op"] == "config"
+    assert f"the violated field is '{field}'" in payload["message"]
 
 
 def test_trajectory_closed_form_constants(tmp_path):

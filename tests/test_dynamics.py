@@ -363,6 +363,15 @@ def test_floyd_classical_family():
         < 1e-12
 
 
+def test_dispersion_trajectory_continuous_at_tan_poles():
+    # at the first 200 exact tan poles of k x no sample jumps by a branch
+    a, b, c = 1.3, 2.0, 0.5
+    xs = (np.arange(200) + 0.5) * math.pi / math.sqrt(2.0 * E)
+    td = dispersion_free_trajectory(E, a, b, c, xs)
+    for side in (xs - 1e-7, xs + 1e-7):
+        assert np.max(np.abs(td - dispersion_free_trajectory(E, a, b, c, side))) < 1e-4
+
+
 def test_dispersion_and_floyd_differ_detectably():
     xs = np.linspace(0.2, 6.0, 800)
     td = dispersion_free_trajectory(E, 2.0, 1.0, 0.5, xs)

@@ -1,0 +1,74 @@
+"""Property tests of the shared arctan-ratio machinery: the (mu, nu) <->
+(a, b, c) conversion, the azimuthal QSHJE, and the continued closed form.
+
+Examples are derandomized so every run checks the same inputs."""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from qshje import (
+    Grid,
+    MicrostateParams,
+    analytic_free_pair,
+    build_field,
+    free_particle_closed_form,
+    params_convert,
+)
+from qshje.spherical import AzimuthalAction, SphericalQuantumNumbers
+
+PROPERTY = settings(deadline=None, max_examples=40, derandomize=True,
+                    database=None)
+
+FREE_PAIR = analytic_free_pair(0.5, Grid(-3.0, 3.0, 2001))
+X = FREE_PAIR.grid.points()[100:-100:50]
+
+
+@PROPERTY
+@given(mu=st.floats(-2.0, 2.0), nu=st.floats(-2.0, 2.0))
+def test_params_convert_round_trip_preserves_momentum(mu, nu):
+    assume(mu * nu < 0.98)
+    params = MicrostateParams.from_mu_nu(mu, nu)
+    floyd = params_convert(params)
+    back = params_convert(floyd)
+    p = build_field(FREE_PAIR, params).p_at(X)
+    for other in (floyd, back):
+        q = build_field(FREE_PAIR, other).p_at(X)
+        assert np.max(np.abs(q - p) / np.abs(p)) < 1e-9
+
+
+_MU_NU = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).filter(
+    lambda et: abs(et[0] * et[1] - 1.0) > 0.05).map(
+    lambda et: MicrostateParams.from_mu_nu(*et))
+_FLOYD = st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0),
+                   st.floats(-0.95, 0.95)).map(
+    lambda abr: MicrostateParams.from_floyd(
+        abr[0], abr[1], 2.0 * abr[2] * math.sqrt(abr[0] * abr[1])))
+
+
+@PROPERTY
+@given(ell=st.integers(0, 4), data=st.data(),
+       params=st.one_of(_MU_NU, _FLOYD))
+def test_azimuthal_qshje_residual_vanishes(ell, data, params):
+    m_ell = data.draw(st.integers(-ell, ell))
+    az = AzimuthalAction(SphericalQuantumNumbers(ell, m_ell), params)
+    phis = np.linspace(0.05, 2.0 * math.pi - 0.05, 257)
+    p = az.momentum(phis)
+    scale = max(float(np.max(p**2)), 1.0)
+    assert np.max(np.abs(az.qshje_residual(phis))) / scale < 1e-9
+
+
+@PROPERTY
+@given(energy=st.floats(0.05, 5.0), a_const=st.floats(0.05, 10.0),
+       sign=st.sampled_from([-1.0, 1.0]), b_const=st.floats(-10.0, 10.0))
+def test_closed_form_continuous_across_poles(energy, a_const, sign, b_const):
+    # tau = 2 E t at the first 50 exact tan poles and 1e-9 to either side
+    a_const *= sign
+    taus = (np.arange(50) + 0.5) * math.pi
+    x = free_particle_closed_form(energy, a_const, b_const, 0.0, 0.0,
+                                  taus / (2.0 * energy))
+    for side in (taus - 1e-9, taus + 1e-9):
+        xs = free_particle_closed_form(energy, a_const, b_const, 0.0, 0.0,
+                                       side / (2.0 * energy))
+        assert np.max(np.abs(xs - x)) < 1e-3

@@ -20,7 +20,6 @@ from qshje import (
     bohm_quantum_potential,
     build_field,
     combine_pair,
-    conjugate_momentum,
     floyd_momentum,
     make_pair,
     modified_potential_residual,
@@ -28,7 +27,6 @@ from qshje import (
     probability_current,
     qshje_residual,
     reconstruct_wavefunction,
-    reduced_action,
     schwarzian,
 )
 from qshje.reduced_action import (
@@ -101,7 +99,7 @@ def test_combine_dependent_rejected(free_pair):
 
 def test_free_reduced_action_is_linear(free_pair):
     x = free_pair.grid.points()
-    s0 = reduced_action(free_pair, MicrostateParams.from_mu_nu(0.0, 0.0), x)
+    s0 = build_field(free_pair, MicrostateParams.from_mu_nu(0.0, 0.0)).s0_at(x)
     assert np.max(np.abs(s0 - s0[0] - (x - x[0]))) < 1e-10
 
 
@@ -112,7 +110,7 @@ def test_floyd_classical_form_linear():
     k = math.sqrt(2.0 * E_FREE)
     params = MicrostateParams.from_floyd(k**2, 1.0, 0.0)
     x = grid.points()
-    s0 = reduced_action(pair, params, x)
+    s0 = build_field(pair, params).s0_at(x)
     assert np.max(np.abs(s0 - s0[0] - k * (x - x[0]))) < 1e-8
 
 
@@ -141,7 +139,7 @@ def test_s0_differentiates_to_p(harmonic_pair):
 
 def test_free_momentum_is_unity(free_pair):
     x = free_pair.grid.points()[100:-100:50]
-    p = conjugate_momentum(free_pair, MicrostateParams.from_mu_nu(0.0, 0.0), x)
+    p = build_field(free_pair, MicrostateParams.from_mu_nu(0.0, 0.0)).p_at(x)
     assert np.max(np.abs(p - 1.0)) < 1e-10
 
 
@@ -187,7 +185,7 @@ def test_floyd_equals_converted_mu_nu():
     pair = analytic_free_pair(E_FREE, grid, target_wronskian=required)
     x = grid.points()[50:-50:50]
     p_floyd = floyd_momentum(pair, params, x)
-    p_conj = conjugate_momentum(pair, params_convert(params), x)
+    p_conj = build_field(pair, params_convert(params)).p_at(x)
     assert np.max(np.abs(p_floyd - p_conj)) < 1e-9
 
 
@@ -210,8 +208,8 @@ def test_convert_roundtrip_preserves_momentum(free_pair):
             continue
         params = MicrostateParams.from_mu_nu(mu, nu)
         back = params_convert(params_convert(params))
-        p1 = conjugate_momentum(free_pair, params, x)
-        p2 = conjugate_momentum(free_pair, back, x)
+        p1 = build_field(free_pair, params).p_at(x)
+        p2 = build_field(free_pair, back).p_at(x)
         assert np.max(np.abs(p1 - p2)) < 1e-10
         count += 1
 

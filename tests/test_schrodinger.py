@@ -21,7 +21,6 @@ from qshje import (
     make_pair,
     pair_to_csv,
     physical_bound_solution,
-    potential_value,
 )
 from qshje.schrodinger import Solution, _numerov_values, pair_from_solutions
 
@@ -49,20 +48,20 @@ def test_grid_validation_and_spacing():
 # ----------------------------------------------------------- potentials
 
 def test_potential_values_trivial():
-    assert potential_value(PotentialSpec.free(), 3.7) == 0.0
-    assert potential_value(PotentialSpec.harmonic(1.0), 2.0) == pytest.approx(2.0)
+    assert PotentialSpec.free().value(3.7) == 0.0
+    assert PotentialSpec.harmonic(1.0).value(2.0) == pytest.approx(2.0)
     radial = PotentialSpec.radial_effective(PotentialSpec.free(), 2.0)
-    assert potential_value(radial, 1.0) == pytest.approx(1.0)
-    assert potential_value(PotentialSpec.linear(2.0), 1.5) == pytest.approx(3.0)
+    assert radial.value(1.0) == pytest.approx(1.0)
+    assert PotentialSpec.linear(2.0).value(1.5) == pytest.approx(3.0)
 
 
 def test_potential_domain_errors():
     radial = PotentialSpec.radial_effective(PotentialSpec.free(), 2.0)
     with pytest.raises(DomainError):
-        potential_value(radial, -1.0)
+        radial.value(-1.0)
     tab = PotentialSpec.tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 4.0, 9.0])
     with pytest.raises(DomainError):
-        potential_value(tab, 5.0)
+        tab.value(5.0)
 
 
 def test_harmonic_requires_positive_omega():
@@ -133,6 +132,26 @@ def test_vanishing_numerov_coefficient_flagged():
         integrate_schrodinger(PotentialSpec.free(), -24.0, Grid(0.0, 4.0, 9),
                               (1.0, 0.0))
     assert err.value.x == 1.0
+
+
+def test_from_right_matches_cosine():
+    # the leftward sweep returns grid-ordered samples and d/dx derivatives
+    grid = Grid(0.0, math.pi, 3143)
+    x = grid.points()
+    sol = integrate_schrodinger(PotentialSpec.free(), 0.5, grid,
+                                (math.cos(x[-1]), -math.sin(x[-1])),
+                                from_right=True)
+    assert np.max(np.abs(sol.values - np.cos(x))) < 1e-8
+    assert np.max(np.abs(sol.derivs + np.sin(x))) < 1e-8
+
+
+def test_right_to_left_overflow_reports_grid_position():
+    # the inward sweep from x_max = 45 overflows in the right forbidden
+    # region; the error names the grid position, not the distance from 45
+    with pytest.raises(NumericError) as err:
+        physical_bound_solution(PotentialSpec.harmonic(1.0), 0.5,
+                                Grid(-8.0, 45.0, 10601))
+    assert err.value.x == pytest.approx(29.555, abs=1e-9)
 
 
 def _numerov_loop(w, h, y0, y1, x0=0.0, renormalize=False):

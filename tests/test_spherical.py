@@ -12,6 +12,7 @@ from qshje import (
     MicrostateParams,
     ParameterError,
     PotentialSpec,
+    build_field,
     make_pair,
     qshje_residual,
 )
@@ -20,14 +21,12 @@ from qshje.schrodinger import Solution, NATURAL_UNITS, pair_from_solutions
 from qshje.spherical import (
     AzimuthalAction,
     SphericalQuantumNumbers,
-    azimuthal_reduced_action,
     build_triple,
     component_report,
     make_polar_pair,
     make_radial_pair,
     polar_equation_residual,
     polar_transform,
-    radial_reduced_action,
     radial_transform,
     total_action,
     total_qshje_residual,
@@ -108,7 +107,7 @@ def test_radial_action_classical_free():
     k = math.sqrt(2.0 * E)
     pair = make_radial_pair(PotentialSpec.free(), qn, E, grid,
                             target_wronskian=-1.0)
-    field = radial_reduced_action(pair, MicrostateParams.from_floyd(
+    field = build_field(pair, MicrostateParams.from_floyd(
         k * k, 1.0, 0.0))
     r = grid.points()
     assert np.max(np.abs(field.s0 - field.s0[0] - k * (r - r[0]))) < 1e-8
@@ -122,7 +121,7 @@ def test_radial_action_coulomb_like_residual():
     grid = Grid(0.2, 25.0, 24801)
     energy = -0.125
     pair = make_radial_pair(inner, qn, energy, grid)
-    field = radial_reduced_action(pair, MicrostateParams.from_mu_nu(0.2, -0.3))
+    field = build_field(pair, MicrostateParams.from_mu_nu(0.2, -0.3))
     eff = PotentialSpec.radial_effective(inner, qn.lam)
     rs = np.linspace(0.5, 20.0, 200)
     res = qshje_residual(field, eff, rs)
@@ -140,7 +139,7 @@ def test_radial_partner_route_matches_arctan_form():
     b, c = 1.0, 0.5
     a = c**2 / (4 * b) + 1.0
     s = math.sqrt(a * b - c**2 / 4)
-    field = radial_reduced_action(pair, MicrostateParams.from_floyd(a, b, c))
+    field = build_field(pair, MicrostateParams.from_floyd(a, b, c))
     # direct route: Z = hbar arctan[(K b I(r) + c/2)/s], I = int dr/chi1^2,
     # with K the constructed Wronskian phi theta' - phi' theta = +1, which
     # in the pair convention W(sol1, sol2) = -K
@@ -163,7 +162,7 @@ def test_polar_action_monotone_and_residual():
     qn = SphericalQuantumNumbers(1, 0)
     grid = Grid(0.2, math.pi - 0.2, 5001)
     pair = make_polar_pair(qn, grid)
-    field = radial_reduced_action(pair, MicrostateParams.from_mu_nu(0.1, -0.2))
+    field = build_field(pair, MicrostateParams.from_mu_nu(0.1, -0.2))
     assert np.all(np.diff(field.s0) > 0) or np.all(np.diff(field.s0) < 0)
     # transformed-equation residual: 2m * 1-D QSHJE residual at E_theta
     spec = PotentialSpec.polar_angle(qn.m_ell)
@@ -183,8 +182,18 @@ def test_polar_pair_window_guard():
 def test_azimuthal_classical_linear():
     qn = SphericalQuantumNumbers(2, 2)
     phis = np.linspace(0.0, 2 * math.pi, 2001)
-    m_vals = azimuthal_reduced_action(qn, CLASSICAL, phis)
+    m_vals = AzimuthalAction(qn, CLASSICAL).values(phis)
     assert np.max(np.abs(m_vals - m_vals[0] - 2.0 * phis)) < 1e-8
+
+
+def test_azimuthal_floyd_continuous_at_tan_poles():
+    # at the first 200 exact tan poles of m phi no value jumps by a branch
+    az = AzimuthalAction(SphericalQuantumNumbers(3, 3),
+                         MicrostateParams.from_floyd(1.3, 2.0, 0.5))
+    phis = (np.arange(200) + 0.5) * math.pi / 3.0
+    m_vals = az.values(phis)
+    for side in (phis - 1e-7, phis + 1e-7):
+        assert np.max(np.abs(m_vals - az.values(side))) < 1e-4
 
 
 def test_azimuthal_residual_random_eps_tau():
@@ -320,7 +329,7 @@ def test_radial_l0_reduces_to_one_dimensional_free():
     params = MicrostateParams.from_floyd(2.0, 1.0, 0.5)
     radial_pair = make_radial_pair(PotentialSpec.free(), qn, E, grid)
     one_d_pair = make_pair(PotentialSpec.free(), E, grid)
-    f_radial = radial_reduced_action(radial_pair, params)
-    f_one_d = radial_reduced_action(one_d_pair, params)
+    f_radial = build_field(radial_pair, params)
+    f_one_d = build_field(one_d_pair, params)
     assert np.max(np.abs(f_radial.p - f_one_d.p)) < 1e-12
     assert np.max(np.abs(np.diff(f_radial.s0) - np.diff(f_one_d.s0))) < 1e-12
