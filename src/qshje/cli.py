@@ -105,10 +105,15 @@ def _read_config_file(path) -> dict:
     return out
 
 
+_BOOLEAN_WORDS = {"true": True, "1": True, "yes": True,
+                  "false": False, "0": False, "no": False}
+
+
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
                   argv) -> argparse.Namespace:
     """Make the config file's entries the chosen subcommand's defaults and
-    parse argv again; flags given on the command line win."""
+    parse argv again; flags given on the command line win. Values of on/off
+    flags are read as true/false/1/0/yes/no."""
     file_vals = _read_config_file(args.config)
     for key in file_vals:
         if not hasattr(args, key):
@@ -116,7 +121,16 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
                               module=_MODULE, op="config")
     subs = next(a for a in parser._actions
                 if isinstance(a, argparse._SubParsersAction))
-    subs.choices[args.command].set_defaults(**file_vals)
+    sub = subs.choices[args.command]
+    for action in sub._actions:
+        if isinstance(action, argparse._StoreTrueAction) and action.dest in file_vals:
+            text = file_vals[action.dest]
+            if text.lower() not in _BOOLEAN_WORDS:
+                raise ConfigError(
+                    f"config key {action.dest!r} must be true/false/1/0/yes/no, "
+                    f"not {text!r}", module=_MODULE, op="config")
+            file_vals[action.dest] = _BOOLEAN_WORDS[text.lower()]
+    sub.set_defaults(**file_vals)
     return parser.parse_args(argv)
 
 

@@ -1,12 +1,13 @@
 """Motion from the reduced-action field.
 
 The dispersion relation xdot * P = 2(E - V) turns a field into a velocity
-law; this module integrates trajectories from it (adaptive fifth-order with
+law; this module integrates trajectories from it (DOP853, eighth order with
 dense output), evaluates times of flight by quadrature, provides the free
 particle's closed-form trajectory with analytic derivatives, the
-first-integral residual of the quantum Newton law, the quantum coordinate,
-the quantum version of the Jacobi theorem, and Floyd's free trajectory for
-comparison.
+first-integral residual of the quantum Newton law (along a trajectory from
+the analytic ladder P, P', P'', V, V', V'', or by differencing the dense
+output as an independent check), the quantum coordinate, the quantum
+version of the Jacobi theorem, and Floyd's free trajectory for comparison.
 """
 
 from __future__ import annotations
@@ -98,11 +99,13 @@ def velocity(field: ReducedActionField, spec: PotentialSpec, x):
 def integrate_trajectory(field: ReducedActionField, spec: PotentialSpec,
                          x0: float, t_span, tol: float = 1e-9,
                          t_eval=None, n_samples: int = 200) -> Trajectory:
-    """Integrate dx/dt = 2 (E - V(x)) / P(x) with RK45 and dense output.
+    """Integrate dx/dt = 2 (E - V(x)) / P(x) with DOP853 and dense output.
 
-    Halts cleanly when the trajectory reaches the grid edge (reporting the
-    exit time) or when it stalls on the asymptotic approach to a turning
-    point (velocity collapse; the flow never crosses a turning point).
+    The samples are the dense output at t_eval (or n_samples equispaced
+    times), with xdot from the dispersion relation at each sample. Halts
+    cleanly when the trajectory reaches the grid edge (reporting the exit
+    time) or when it stalls on the asymptotic approach to a turning point
+    (velocity collapse; the flow never crosses a turning point).
     """
     grid = field.grid
     if not (grid.x_min < x0 < grid.x_max):
@@ -115,8 +118,13 @@ def integrate_trajectory(field: ReducedActionField, spec: PotentialSpec,
     # longer be resolved and is reported instead of integrated further
     gap_floor = 10.0 * tol * max(abs(field.energy), 1.0)
 
+    # solve_ivp leaves its solver in a reference cycle with the wrapped rhs;
+    # the callbacks reach field and spec through this list, emptied on
+    # return, so a field is freed with its trajectory, not at the next GC pass
+    live = [field, spec]
+
     def rhs(t, y):
-        return [velocity(field, spec, float(y[0]))]
+        return velocity(*live, y)
 
     def hit_edge(t, y):
         return min(y[0] - (grid.x_min + margin), (grid.x_max - margin) - y[0])
@@ -124,14 +132,17 @@ def integrate_trajectory(field: ReducedActionField, spec: PotentialSpec,
     hit_edge.direction = -1
 
     def stalled(t, y):
-        return abs(field.energy - spec.value(float(y[0]), field.units)) \
-            - gap_floor
+        fld, spc = live
+        return abs(fld.energy - spc.value(float(y[0]), fld.units)) - gap_floor
     stalled.terminal = True
     stalled.direction = -1
 
-    res = solve_ivp(rhs, (t0, t1), [float(x0)], method="RK45",
-                    rtol=tol, atol=tol * 1e-3, dense_output=True,
-                    events=(hit_edge, stalled))
+    try:
+        res = solve_ivp(rhs, (t0, t1), [float(x0)], method="DOP853",
+                        rtol=tol, atol=tol * 1e-3, dense_output=True,
+                        events=(hit_edge, stalled))
+    finally:
+        live.clear()
     if not res.success and res.status != 1:
         raise NumericError(f"trajectory integration failed: {res.message}",
                            module=_MODULE, op="integrate_trajectory", x=x0)
@@ -156,7 +167,7 @@ def integrate_trajectory(field: ReducedActionField, spec: PotentialSpec,
         t_eval = np.asarray(t_eval, dtype=float)
         t_eval = t_eval[(t_eval >= min(t0, t_end)) & (t_eval <= max(t0, t_end))]
     xs = res.sol(t_eval)[0]
-    vs = np.array([velocity(field, spec, float(xx)) for xx in xs])
+    vs = velocity(field, spec, xs)
     return Trajectory(t=t_eval, x=xs, xdot=vs, status=status,
                       exit_time=exit_time, exit_position=exit_position,
                       sol=res.sol, field=field, spec=spec)
@@ -303,31 +314,45 @@ def fiqnl_residual_along(traj: Trajectory, delta: float = None):
     """FIQNL residual at the trajectory's sample times with xdot, xddot,
     xdddot obtained by fourth-order differencing of the dense output.
 
-    Rows whose seven-point stencil would leave the integrated span are
-    evaluated at the nearest stencil-safe time instead (the dense output
-    must not be extrapolated). Returns (absolute residuals, residuals
-    relative to E^4).
+    This checks the integrated path itself, independently of the field's
+    derivatives. Rows whose seven-point stencil would leave the integrated
+    span are evaluated at the nearest stencil-safe time instead (the dense
+    output must not be extrapolated). Returns (absolute residuals,
+    residuals relative to E^4).
     """
-    field, spec = traj.field, traj.spec
+    field = traj.field
     tspan = traj.t[-1] - traj.t[0]
     if delta is None:
         delta = max(abs(tspan) * 2e-3, 1e-6)
     t_lo = min(traj.t[0], traj.t[-1]) + 3.0 * delta
     t_hi = max(traj.t[0], traj.t[-1]) - 3.0 * delta
-    res = np.empty(traj.t.size)
-    stencil = np.array([-3, -2, -1, 0, 1, 2, 3], dtype=float)
-    for j, tj in enumerate(traj.t):
-        ts = min(max(tj, t_lo), t_hi) + stencil * delta
-        xs = traj.sol(ts)[0]
-        xd = (-xs[0] / 60 + 3 * xs[1] / 20 - 3 * xs[2] / 4 + 3 * xs[4] / 4
-              - 3 * xs[5] / 20 + xs[6] / 60) / delta
-        xdd = (xs[0] / 90 - 3 * xs[1] / 20 + 3 * xs[2] / 2 - 49 * xs[3] / 18
-               + 3 * xs[4] / 2 - 3 * xs[5] / 20 + xs[6] / 90) / delta**2
-        xddd = (xs[0] / 8 - xs[1] + 13 * xs[2] / 8 - 13 * xs[4] / 8
-                + xs[5] - xs[6] / 8) / delta**3
-        res[j] = fiqnl_residual(spec, field.energy, float(xs[3]), xd, xdd,
-                                xddd, field.units)
+    centres = np.minimum(np.maximum(traj.t, t_lo), t_hi)
+    stencil = np.arange(-3.0, 4.0) * delta
+    x0, x1, x2, x3, x4, x5, x6 = \
+        traj.sol((centres[:, None] + stencil).ravel())[0].reshape(-1, 7).T
+    xd = (-x0 / 60 + 3 * x1 / 20 - 3 * x2 / 4 + 3 * x4 / 4
+          - 3 * x5 / 20 + x6 / 60) / delta
+    xdd = (x0 / 90 - 3 * x1 / 20 + 3 * x2 / 2 - 49 * x3 / 18
+           + 3 * x4 / 2 - 3 * x5 / 20 + x6 / 90) / delta**2
+    xddd = (x0 / 8 - x1 + 13 * x2 / 8 - 13 * x4 / 8 + x5 - x6 / 8) / delta**3
+    res = fiqnl_residual(traj.spec, field.energy, x3, xd, xdd, xddd, field.units)
     return res, res / field.energy**4
+
+
+def _flow_derivatives(field: ReducedActionField, spec: PotentialSpec, x):
+    """(xdot, xddot, xdddot) of the dispersion-relation flow at x.
+
+    The chain rule d/dt = xdot d/dx on xdot = 2 (E - V) / P gives
+    xddot = xdot xdot' and xdddot = xdot (xdot'^2 + xdot xdot''), with the
+    x-derivatives of xdot from P, P', P'' (the field) and V', V'' (the
+    spec); nothing is differenced.
+    """
+    units = field.units
+    p, dp, d2p = field.p_at(x), field.dp_at(x), field.d2p_at(x)
+    u = 2.0 * (field.energy - spec.value(x, units)) / p
+    du = -(2.0 * spec.derivative(x, units) + u * dp) / p
+    d2u = -(2.0 * spec.second_derivative(x, units) + 2.0 * du * dp + u * d2p) / p
+    return u, u * du, u * (du**2 + u * d2u)
 
 
 # ----------------------------------------------------------------------
@@ -412,13 +437,18 @@ def quantum_lagrangian_state(field: ReducedActionField, spec: PotentialSpec,
                                   hamiltonian=float(kinetic + v))
 
 
-def trajectory_to_csv(traj: Trajectory, path, fiqnl_delta: float = None):
-    """Write t,x,xdot,p,f,hq_minus_e,fiqnl_residual_rel for a trajectory."""
+def trajectory_to_csv(traj: Trajectory, path):
+    """Write t,x,xdot,p,f,hq_minus_e,fiqnl_residual_rel for a trajectory.
+
+    The FIQNL column is the first-integral residual relative to E^4 at each
+    sample, from the analytic ladder of ``_flow_derivatives``."""
     field, spec = traj.field, traj.spec
     p = field.p_at(traj.x)
-    f = np.array([f_function(field, spec, float(xx)) for xx in traj.x])
+    f = f_function(field, spec, traj.x)
     hq = 0.5 * field.units.mass * traj.xdot**2 * f + spec.value(traj.x, field.units)
-    _, rel = fiqnl_residual_along(traj, delta=fiqnl_delta)
+    rel = fiqnl_residual(spec, field.energy, traj.x,
+                         *_flow_derivatives(field, spec, traj.x),
+                         field.units) / field.energy**4
     data = np.column_stack([traj.t, traj.x, traj.xdot, p, f,
                             hq - field.energy, rel])
     np.savetxt(path, data, delimiter=",", fmt=CSV_FLOAT_FORMAT,

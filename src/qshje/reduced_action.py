@@ -63,6 +63,10 @@ class MicrostateParams:
     c: float = None
 
     def __post_init__(self):
+        constants = (self.mu, self.nu, self.a, self.b, self.c)
+        if not all(math.isfinite(c) for c in constants if c is not None):
+            raise ParameterError("microstate constants must be finite",
+                                 module=_MODULE, op="MicrostateParams")
         if self.form == "mu_nu":
             if self.mu is None or self.nu is None:
                 raise ParameterError("mu_nu form requires mu and nu",

@@ -47,10 +47,12 @@ class UnitSystem:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not (self.hbar > 0.0):
-            raise ParameterError("hbar must be > 0", module=_MODULE, op="UnitSystem")
-        if not (self.mass > 0.0):
-            raise ParameterError("mass must be > 0", module=_MODULE, op="UnitSystem")
+        if not (0.0 < self.hbar < math.inf):
+            raise ParameterError("hbar must be finite and > 0", module=_MODULE,
+                                 op="UnitSystem")
+        if not (0.0 < self.mass < math.inf):
+            raise ParameterError("mass must be finite and > 0", module=_MODULE,
+                                 op="UnitSystem")
 
 
 NATURAL_UNITS = UnitSystem()
@@ -65,6 +67,9 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ParameterError("x_min and x_max must be finite", module=_MODULE,
+                                 op="Grid")
         if not (self.x_min < self.x_max):
             raise ParameterError("x_min must be < x_max", module=_MODULE, op="Grid")
         if self.n_points < 9:
@@ -104,6 +109,12 @@ class PotentialSpec:
         self.lam = lam
         self.m_ell = m_ell
         self._spline = None
+        if not all(math.isfinite(c) for c in (slope, omega, lam) if c is not None):
+            raise ParameterError("potential constants must be finite",
+                                 module=_MODULE, op="PotentialSpec")
+        if kind == "radial_effective" and not isinstance(inner, PotentialSpec):
+            raise ParameterError("radial potential requires an inner PotentialSpec",
+                                 module=_MODULE, op="PotentialSpec")
         if kind == "harmonic" and not (omega and omega > 0):
             raise ParameterError("harmonic potential requires omega > 0",
                                  module=_MODULE, op="PotentialSpec")

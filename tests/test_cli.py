@@ -129,6 +129,32 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert json.loads(err.strip())["module"] == "cli"
 
 
+@pytest.mark.parametrize("word,analytic", [
+    ("false", False), ("no", False), ("0", False),
+    ("true", True), ("Yes", True), ("1", True),
+])
+def test_config_boolean_flag(tmp_path, word, analytic):
+    flags = ["pair", "--potential", "free", "--energy", "0.7", "--grid=-2:8:2001"]
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(f"analytic_pair={word}\n")
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    assert run(flags + ["--config", str(cfg), "-o", str(out)]) == 0
+    assert run(flags + (["--analytic-pair"] if analytic else [])
+               + ["-o", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_config_boolean_flag_rejects_other_words(tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("analytic_pair=maybe\n")
+    code = run(["pair", "--potential", "free", "--config", str(cfg),
+                "-o", str(tmp_path / "out.csv")])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["op"] == "config"
+    assert "'analytic_pair'" in payload["message"]
+
+
 def test_unknown_flag_exit_code():
     assert run(["pair", "--does-not-exist", "1"]) == 2
 

@@ -2,7 +2,9 @@
 closed form, the quantum Newton first integral, quantum coordinate and the
 Jacobi theorem, and Floyd's comparison trajectory."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -168,6 +170,23 @@ def test_trajectory_csv(tmp_path, quantum_free_field):
     assert head == "t,x,xdot,p,f,hq_minus_e,fiqnl_residual_rel"
 
 
+def test_trajectory_frees_field_without_gc():
+    # solve_ivp's solver sits in a reference cycle with the callbacks; a
+    # field they pin would outlive its trajectory until a full GC pass
+    grid = Grid(-1.4, 1.4, 2801)
+    field = build_field(make_pair(SPEC_HARM, 2.0, grid),
+                        MicrostateParams.from_mu_nu(0.3, -0.2))
+    ref = weakref.ref(field)
+    gc.disable()
+    try:
+        traj = integrate_trajectory(field, SPEC_HARM, -0.5, (0.0, 1.2),
+                                    tol=1e-11, n_samples=60)
+        del traj, field
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 # --------------------------------------------------------- time of flight
 
 def test_time_of_flight_classical(classical_free_field):
@@ -258,6 +277,49 @@ def test_fiqnl_harmonic_dense_output(harmonic_field):
     traj = integrate_trajectory(harmonic_field, SPEC_HARM, -0.5, (0.0, 1.2),
                                 tol=1e-11, n_samples=50)
     _, rel = fiqnl_residual_along(traj)
+    assert np.max(np.abs(rel[3:-3])) < 1e-3
+
+
+def _fiqnl_along_per_sample(traj):
+    """Reference: fiqnl_residual_along as one dense-output call per sample."""
+    delta = max(abs(traj.t[-1] - traj.t[0]) * 2e-3, 1e-6)
+    t_lo = min(traj.t[0], traj.t[-1]) + 3.0 * delta
+    t_hi = max(traj.t[0], traj.t[-1]) - 3.0 * delta
+    stencil = np.arange(-3.0, 4.0)
+    res = np.empty(traj.t.size)
+    for j, tj in enumerate(traj.t):
+        xs = traj.sol(min(max(tj, t_lo), t_hi) + stencil * delta)[0]
+        xd = (-xs[0] / 60 + 3 * xs[1] / 20 - 3 * xs[2] / 4 + 3 * xs[4] / 4
+              - 3 * xs[5] / 20 + xs[6] / 60) / delta
+        xdd = (xs[0] / 90 - 3 * xs[1] / 20 + 3 * xs[2] / 2 - 49 * xs[3] / 18
+               + 3 * xs[4] / 2 - 3 * xs[5] / 20 + xs[6] / 90) / delta**2
+        xddd = (xs[0] / 8 - xs[1] + 13 * xs[2] / 8 - 13 * xs[4] / 8
+                + xs[5] - xs[6] / 8) / delta**3
+        res[j] = fiqnl_residual(traj.spec, traj.field.energy, float(xs[3]),
+                                xd, xdd, xddd, traj.field.units)
+    return res
+
+
+def test_fiqnl_along_matches_per_sample_loop(harmonic_field):
+    traj = integrate_trajectory(harmonic_field, SPEC_HARM, -0.5, (0.0, 1.2),
+                                tol=1e-11, n_samples=50)
+    _, rel = fiqnl_residual_along(traj)
+    # the dense output is evaluated in other groups of times, so x moves at
+    # rounding level, which the 1/delta^3 stencil amplifies
+    ref = _fiqnl_along_per_sample(traj) / harmonic_field.energy**4
+    assert np.max(np.abs(rel - ref)) < 1e-12
+
+
+def test_csv_fiqnl_column_on_linear_trajectory(tmp_path):
+    # seven-point differencing of the dense output reads O(1) here; the
+    # analytic ladder reads the field's own consistency
+    spec = PotentialSpec.linear(1.0)
+    field = build_field(make_pair(spec, 1.5, Grid(-4.0, 4.0, 8001)),
+                        MicrostateParams.from_mu_nu(0.3, -0.2))
+    traj = integrate_trajectory(field, spec, -1.0, (0.0, 2.0), n_samples=300)
+    path = tmp_path / "linear.csv"
+    trajectory_to_csv(traj, path)
+    rel = np.genfromtxt(path, delimiter=",", names=True)["fiqnl_residual_rel"]
     assert np.max(np.abs(rel[3:-3])) < 1e-3
 
 

@@ -9,6 +9,7 @@ from qshje import (
     DomainError,
     Grid,
     IntegrationQualityError,
+    MicrostateParams,
     NumericError,
     ParameterError,
     PotentialSpec,
@@ -43,6 +44,22 @@ def test_grid_validation_and_spacing():
     assert g.spacing == pytest.approx(0.01)
     assert g.points().shape == (101,)
     assert np.allclose(np.diff(g.points()), g.spacing)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MicrostateParams.from_mu_nu(math.nan, 0.0),
+    lambda: MicrostateParams.from_floyd(math.inf, 1.0, 0.0),
+    lambda: UnitSystem(hbar=math.inf),
+    lambda: UnitSystem(mass=math.nan),
+    lambda: Grid(0.0, math.inf, 100),
+    lambda: PotentialSpec.linear(math.nan),
+    lambda: PotentialSpec.harmonic(math.inf),
+    lambda: PotentialSpec.radial_effective(None, 2.0),
+], ids=["mu_nan", "floyd_a_inf", "hbar_inf", "mass_nan", "grid_inf",
+        "slope_nan", "omega_inf", "radial_no_inner"])
+def test_constructors_reject_non_finite_input(build):
+    with pytest.raises(ParameterError):
+        build()
 
 
 # ----------------------------------------------------------- potentials
