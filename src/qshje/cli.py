@@ -77,6 +77,24 @@ def _default_grid_points() -> int:
     return 4001
 
 
+def _number(args, name, kind=float, minimum=None):
+    """The value of flag ``name`` converted by kind (float or int); a
+    ConfigError naming the flag when it is not such a number or lies below
+    minimum."""
+    text = getattr(args, name)
+    try:
+        value = kind(text)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or (minimum is not None and value < minimum):
+        what = "an integer" if kind is int else "a number"
+        floor = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"--{name.replace('_', '-')} must be {what}{floor}, "
+                          f"not {text!r}; the violated field is '{name}'",
+                          module=_MODULE, op="config")
+    return value
+
+
 def _fmt(value: float) -> str:
     return CSV_FLOAT_FORMAT % value
 
@@ -135,7 +153,7 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 
 
 def _build_units(args) -> UnitSystem:
-    return UnitSystem(hbar=float(args.hbar), mass=float(args.mass))
+    return UnitSystem(hbar=_number(args, "hbar"), mass=_number(args, "mass"))
 
 
 def _build_potential(args, units) -> PotentialSpec:
@@ -143,16 +161,17 @@ def _build_potential(args, units) -> PotentialSpec:
     if kind == "free":
         return PotentialSpec.free()
     if kind == "linear":
-        return PotentialSpec.linear(float(args.slope))
+        return PotentialSpec.linear(_number(args, "slope"))
     if kind == "harmonic":
-        return PotentialSpec.harmonic(float(args.omega))
+        return PotentialSpec.harmonic(_number(args, "omega"))
     if kind == "tabulated":
         if not args.table:
             raise ConfigError("tabulated potential requires --table FILE",
                               module=_MODULE, op="config")
         return PotentialSpec.tabulated_from_csv(args.table)
     if kind == "radial":
-        lam = float(args.ell) * (float(args.ell) + 1.0)
+        ell = _number(args, "ell")
+        lam = ell * (ell + 1.0)
         return PotentialSpec.radial_effective(PotentialSpec.free(), lam)
     raise ConfigError(f"unknown potential {kind!r}; the violated field is "
                       "'potential'", module=_MODULE, op="config")
@@ -210,11 +229,11 @@ def _make_pair_for(args, spec, grid, units):
     # --wronskian defaults to the pair's natural value: -k for the analytic
     # (sin, cos) pair, +1 for the (1,0)/(0,1) Numerov pair
     target = None if args.wronskian in (None, "natural") \
-        else float(args.wronskian)
+        else _number(args, "wronskian")
     if args.potential == "free" and args.analytic_pair:
-        return analytic_free_pair(float(args.energy), grid, units,
+        return analytic_free_pair(_number(args, "energy"), grid, units,
                                   target_wronskian=target)
-    return make_pair(spec, float(args.energy), grid, units,
+    return make_pair(spec, _number(args, "energy"), grid, units,
                      target_wronskian=1.0 if target is None else target)
 
 
@@ -249,18 +268,22 @@ def _cmd_action(args) -> int:
 
 def _parse_span(text, what):
     parts = str(text).split(":")
-    if len(parts) != 2:
+    try:
+        if len(parts) != 2:
+            raise ValueError
+        return float(parts[0]), float(parts[1])
+    except ValueError as exc:
         raise ConfigError(f"{what} must be 't0:t1'; the violated field is "
-                          f"'{what}'", module=_MODULE, op="config")
-    return float(parts[0]), float(parts[1])
+                          f"'{what}'", module=_MODULE, op="config") from exc
 
 
 def _integrate(args):
+    span = _parse_span(args.t, "t")
+    x0, tol = _number(args, "x0"), _number(args, "tol")
+    n_samples = _number(args, "samples", int, 1)
     spec, _, field = _scenario(args)
-    t0, t1 = _parse_span(args.t, "t")
-    return integrate_trajectory(field, spec, float(args.x0), (t0, t1),
-                                tol=float(args.tol),
-                                n_samples=int(args.samples))
+    return integrate_trajectory(field, spec, x0, span, tol=tol,
+                                n_samples=n_samples)
 
 
 def _cmd_trajectory(args) -> int:
@@ -278,12 +301,13 @@ def _cmd_quantize(args) -> int:
     units = _build_units(args)
     spec = _build_potential(args, units)
     grid = _build_grid(args.grid, "grid")
-    record = bound_state(spec, grid, int(args.state), units)
-    params_list = enumerate_microstates(record, int(args.microstates))
+    state = _number(args, "state", int, 0)
+    record = bound_state(spec, grid, state, units)
+    params_list = enumerate_microstates(record,
+                                        _number(args, "microstates", int, 1))
     payload = []
     for params in params_list:
-        payload.append(json.loads(quantization_report(record, params,
-                                                      int(args.state))))
+        payload.append(json.loads(quantization_report(record, params, state)))
     text = json.dumps(payload if len(payload) > 1 else payload[0],
                       indent=2, sort_keys=True)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -295,11 +319,12 @@ def _cmd_spherical(args) -> int:
     units = _build_units(args)
     inner = PotentialSpec.free() if args.potential == "free" \
         else _build_potential(args, units)
-    qn = SphericalQuantumNumbers(int(args.ell), int(args.m_ell))
+    qn = SphericalQuantumNumbers(_number(args, "ell", int),
+                                 _number(args, "m_ell", int))
     r_grid = _build_grid(args.r_window, "r_window")
     th_grid = _build_grid(args.theta_window, "theta_window")
     params = _build_params(args)
-    triple = build_triple(inner, qn, float(args.energy), r_grid, th_grid,
+    triple = build_triple(inner, qn, _number(args, "energy"), r_grid, th_grid,
                           params, params, params, units)
     report = json.loads(component_report(triple))
     rr = np.linspace(r_grid.x_min + 10 * r_grid.spacing,
@@ -321,9 +346,9 @@ def _cmd_compare_floyd(args) -> int:
     if params.form != "floyd":
         raise ConfigError("compare-floyd requires a=..,b=..,c=.. params",
                           module=_MODULE, op="config")
-    energy = float(args.energy)
+    energy = _number(args, "energy")
     lo, hi = _parse_span(args.x, "x")
-    xs = np.linspace(lo, hi, int(args.samples))
+    xs = np.linspace(lo, hi, _number(args, "samples", int, 1))
     t_dispersion = dispersion_free_trajectory(energy, params.a, params.b,
                                               params.c, xs, units)
     t_floyd = floyd_free_trajectory(energy, params.a, params.b, params.c,
@@ -409,7 +434,7 @@ def _cmd_sweep(args) -> int:
             spec = _build_potential(one, units)
             grid = _build_grid(one.grid, "grid")
             params = _build_params(one)
-            record = bound_state(spec, grid, int(one.state), units)
+            record = bound_state(spec, grid, _number(one, "state", int, 0), units)
             j = action_variable(record.pair, params)
             header = "sweep_value,state,energy,J_over_h,node_phys,node_partner"
             rows = [(float(one.state), record.energy,

@@ -123,11 +123,15 @@ def integrate_trajectory(field: ReducedActionField, spec: PotentialSpec,
     # return, so a field is freed with its trajectory, not at the next GC pass
     live = [field, spec]
 
+    # the state is one coordinate: the callbacks evaluate it as a Python
+    # float, which takes the field's scalar table branch, and rhs returns a
+    # one-element list, sparing a numpy round trip on each of the ~10^3 calls
     def rhs(t, y):
-        return velocity(*live, y)
+        return [velocity(*live, float(y[0]))]
 
     def hit_edge(t, y):
-        return min(y[0] - (grid.x_min + margin), (grid.x_max - margin) - y[0])
+        x = float(y[0])
+        return min(x - (grid.x_min + margin), (grid.x_max - margin) - x)
     hit_edge.terminal = True
     hit_edge.direction = -1
 

@@ -25,9 +25,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     ConversionError,
@@ -140,14 +140,18 @@ def _momentum_ladder(hbar, w, g1, g2, dg1, dg2, gddg):
     return p, dp, d2p
 
 
+def _principal_angle(g1, g2) -> float:
+    """Principal arctan(g2/g1), taken as +-pi/2 (the sign of g2) at g1 = 0."""
+    if g1 != 0.0:
+        return math.atan(g2 / g1)
+    return math.copysign(math.pi / 2.0, g2)
+
+
 def _unwrapped_angle(g1, g2):
     """Branch-unwrapped arctan(g2/g1) over an array, anchored so its first
     sample is the principal value."""
     angle = np.unwrap(np.arctan2(g2, g1))
-    if g1[0] != 0.0:
-        principal = math.atan(g2[0] / g1[0])
-    else:
-        principal = math.copysign(math.pi / 2.0, g2[0])
+    principal = _principal_angle(g1[0], g2[0])
     return angle - round((angle[0] - principal) / math.pi) * math.pi
 
 
@@ -186,12 +190,46 @@ def combine_pair(pair: SolutionPair, params: MicrostateParams):
     return phi1, phi2, dphi1, dphi2, w_combo
 
 
+def _hermite_table(x_min: float, h: float, f, df):
+    """Evaluator of the piecewise cubic Hermite interpolant of the samples f
+    and slopes df on the uniform grid x_min + i h.
+
+    x falls in cell i = floor((x - x_min)/h), clamped to [0, n - 2] so the
+    end cubics extrapolate, and the cell's cubic in t = (x - x_min)/h - i is
+    summed by Horner. A Python float takes a scalar branch that indexes
+    zero-copy memoryview rows of the coefficient table (a numpy round trip
+    per call would cost more than the arithmetic); anything else takes the
+    numpy branch of the same formula, so the two agree bit for bit.
+    """
+    delta = f[1:] - f[:-1]
+    s_lo, s_hi = h * df[:-1], h * df[1:]
+    coeffs = np.array([f[:-1], s_lo, 3.0 * delta - 2.0 * s_lo - s_hi,
+                       s_lo + s_hi - 2.0 * delta])
+    c0, c1, c2, c3 = (memoryview(row) for row in coeffs)
+    last = f.size - 2
+
+    def evaluate(x):
+        if isinstance(x, float):
+            u = (x - x_min) / h
+            i = last if u >= last else int(u) if u > 0.0 else 0
+            t = u - i
+            return c0[i] + t * (c1[i] + t * (c2[i] + t * c3[i]))
+        u = (np.asarray(x, dtype=float) - x_min) / h
+        i = np.minimum(np.floor(np.where(u > 0.0, u, 0.0)), last).astype(np.intp)
+        t = u - i
+        a0, a1, a2, a3 = coeffs[:, i]
+        return a0 + t * (a1 + t * (a2 + t * a3))
+    return evaluate
+
+
 class ReducedActionField:
     """Continuous reduced action S0, conjugate momentum P and derived data
-    on the pair's grid, with cubic-spline evaluation between grid points.
+    on the pair's grid, with cubic-Hermite evaluation between grid points.
 
     P and its derivatives come from the closed quotient formula with
-    phi'' = (2m/hbar^2)(V - E) phi, never from differencing S0.
+    phi'' = (2m/hbar^2)(V - E) phi, never from differencing S0. Each of
+    s0_at, p_at, dp_at and d2p_at interpolates its samples with the next
+    rung of that ladder as the slope; each table is built on first use.
     """
 
     def __init__(self, pair: SolutionPair, params: MicrostateParams):
@@ -239,24 +277,36 @@ class ReducedActionField:
             raise NumericError("S0 is not strictly monotone",
                                module=_MODULE, op="ReducedActionField")
 
-        # splines built eagerly: the field never mutates after construction
-        self._s0_spline = CubicSpline(self.x, self.s0)
-        self._p_spline = CubicSpline(self.x, self.p)
-        self._dp_spline = CubicSpline(self.x, self.dp)
-        self._d2p_spline = CubicSpline(self.x, self.d2p)
+    # ---- evaluation: one Hermite table per rung, built on first use ----
+    def _table(self, f, df):
+        return _hermite_table(self.grid.x_min, self.grid.spacing, f, df)
 
-    # ---- evaluation ---------------------------------------------------
-    def s0_at(self, x):
-        return self._s0_spline(x)
+    @cached_property
+    def s0_at(self):
+        """S0(x) from the (S0, P) table."""
+        return self._table(self.s0, self.p)
 
-    def p_at(self, x):
-        return self._p_spline(x)
+    @cached_property
+    def p_at(self):
+        """P(x) from the (P, P') table."""
+        return self._table(self.p, self.dp)
 
-    def dp_at(self, x):
-        return self._dp_spline(x)
+    @cached_property
+    def dp_at(self):
+        """P'(x) from the (P', P'') table."""
+        return self._table(self.dp, self.d2p)
 
-    def d2p_at(self, x):
-        return self._d2p_spline(x)
+    @cached_property
+    def d2p_at(self):
+        """P''(x) from the (P'', P''') table. With k = (2m/hbar^2)(V - E)
+        and D = phi1^2 + phi2^2, D''' = 4k D' + 2k' D, which gives
+        P''' = P' (6 P''/P - 6 (P'/P)^2 + 4k) - 2k' P."""
+        coeff = 2.0 * self.units.mass / self.units.hbar**2
+        k = coeff * (self.v - self.energy)
+        d3p = (self.dp * (6.0 * self.d2p / self.p - 6.0 * (self.dp / self.p)**2
+                          + 4.0 * k)
+               - 2.0 * coeff * self.pair.dv * self.p)
+        return self._table(self.d2p, d3p)
 
     def bracket_at(self, x):
         """Schwarzian bracket {S0, x} = (3/2)(P'/P)^2 - P''/P from the
@@ -487,25 +537,9 @@ def reconstruct_wavefunction(field: ReducedActionField, alpha, beta, x):
 
 def probability_current(field: ReducedActionField, alpha, beta, x):
     """Stationary probability current J = (|alpha|^2 - |beta|^2)/m * A^2 * S0'
-    with A^2 = 1/P; the position dependence cancels exactly."""
-    m = field.units.mass
-    p = field.p_at(x)
-    a2_times_p = p / p
-    return (abs(alpha)**2 - abs(beta)**2) / m * a2_times_p
-
-
-def schrodinger_residual_of_reconstruction(field: ReducedActionField,
-                                           spec: PotentialSpec, alpha, beta):
-    """Grid samples of -(hbar^2/2m) psi'' + (V - E) psi for the
-    reconstructed wave, by second differences (boundary rows dropped)."""
-    m = field.units.mass
-    hbar = field.units.hbar
-    x = field.x
-    h = field.grid.spacing
-    psi = reconstruct_wavefunction(field, alpha, beta, x)
-    d2 = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h**2
-    v = field.v[1:-1]
-    return -(hbar**2 / (2.0 * m)) * d2 + (v - field.energy) * psi[1:-1]
+    with A^2 = 1/P; the position dependence cancels exactly, so J is that
+    constant in the shape of x."""
+    return np.full(np.shape(x), (abs(alpha)**2 - abs(beta)**2) / field.units.mass)
 
 
 def field_to_csv(field: ReducedActionField, spec: PotentialSpec, path):

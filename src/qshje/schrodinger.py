@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
 from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dtbtrs
 
@@ -246,6 +245,13 @@ class PotentialSpec:
         return out if out.ndim else float(out)
 
 
+def potential_samples(spec: PotentialSpec, x, units: UnitSystem = NATURAL_UNITS):
+    """(V, V') at the points x as float arrays, the samples a SolutionPair
+    carries."""
+    return (np.asarray(spec.value(x, units), dtype=float),
+            np.asarray(spec.derivative(x, units), dtype=float))
+
+
 @dataclass
 class Solution:
     """Samples of one real Schrodinger solution and its first derivative."""
@@ -271,6 +277,7 @@ class SolutionPair:
     sol2: Solution
     wronskian: float
     v: np.ndarray = field(repr=False, default=None)
+    dv: np.ndarray = field(repr=False, default=None)
 
     def wronskian_samples(self) -> np.ndarray:
         return (self.sol1.values * self.sol2.derivs
@@ -456,9 +463,9 @@ def make_pair(spec: PotentialSpec, energy: float, grid: Grid,
     if np.any(s1.values**2 + s2.values**2 <= 0.0):
         raise NumericError("theta1^2 + theta2^2 vanished on the grid",
                            module=_MODULE, op="make_pair")
-    v = np.asarray(spec.value(grid.points(), units), dtype=float)
+    v, dv = potential_samples(spec, grid.points(), units)
     return SolutionPair(grid=grid, energy=energy, units=units,
-                        sol1=s1, sol2=s2, wronskian=target_wronskian, v=v)
+                        sol1=s1, sol2=s2, wronskian=target_wronskian, v=v, dv=dv)
 
 
 def pair_from_solutions(sol1: Solution, sol2: Solution, spec: PotentialSpec,
@@ -468,9 +475,9 @@ def pair_from_solutions(sol1: Solution, sol2: Solution, spec: PotentialSpec,
         raise ParameterError("solutions must share grid and energy",
                              module=_MODULE, op="pair_from_solutions")
     w_ref = _wronskian_gate(sol1, sol2, "pair_from_solutions", drift_tol)
-    v = np.asarray(spec.value(sol1.grid.points(), sol1.units), dtype=float)
+    v, dv = potential_samples(spec, sol1.grid.points(), sol1.units)
     return SolutionPair(grid=sol1.grid, energy=sol1.energy, units=sol1.units,
-                        sol1=sol1, sol2=sol2, wronskian=w_ref, v=v)
+                        sol1=sol1, sol2=sol2, wronskian=w_ref, v=v, dv=dv)
 
 
 def analytic_free_pair(energy: float, grid: Grid,
@@ -496,9 +503,9 @@ def analytic_free_pair(energy: float, grid: Grid,
         scale = target_wronskian / (-k * a0**2)
     s2 = Solution(grid, energy, units, scale * a0 * np.cos(k * x),
                   -scale * a0 * k * np.sin(k * x))
-    v = np.zeros_like(x)
     return SolutionPair(grid=grid, energy=energy, units=units, sol1=s1,
-                        sol2=s2, wronskian=-k * a0**2 * scale, v=v)
+                        sol2=s2, wronskian=-k * a0**2 * scale,
+                        v=np.zeros_like(x), dv=np.zeros_like(x))
 
 
 # ----------------------------------------------------------------------
@@ -614,7 +621,8 @@ def physical_bound_solution(spec: PotentialSpec, energy: float, grid: Grid,
     scale = sl.values[-1] / sr.values[0]
     values = np.concatenate([sl.values, scale * sr.values[1:]])
     derivs = np.concatenate([sl.derivs, scale * sr.derivs[1:]])
-    norm = math.sqrt(float(trapezoid(values**2, x)))
+    sq = values**2
+    norm = math.sqrt(float(np.sum(np.diff(x) * (sq[1:] + sq[:-1]) / 2.0)))
     if norm == 0.0 or not math.isfinite(norm):
         raise NumericError("bound solution failed to normalize",
                            module=_MODULE, op="physical_bound_solution")

@@ -29,13 +29,12 @@ from .reduced_action import (
     ReducedActionField,
     _combine,
     _momentum_ladder,
-    _unwrapped_angle,
+    _principal_angle,
     build_field,
     continuous_arctan_tan,
     qshje_residual,
 )
 from .schrodinger import (
-    CSV_FLOAT_FORMAT,
     Grid,
     NATURAL_UNITS,
     PotentialSpec,
@@ -158,7 +157,7 @@ def make_polar_pair(qn: SphericalQuantumNumbers, grid: Grid,
 
 class AzimuthalAction:
     """M(phi) on the analytic basis {cos(m_l phi), sin(m_l phi)} (or {1, phi}
-    for m_l = 0), with branch-unwrapped arctan and analytic momentum.
+    for m_l = 0), with a closed-form continued arctan and analytic momentum.
 
     (eps, tau) form: M = hbar arctan[(F1 + eps F2)/(tau F1 + F2)];
     (a, b, c) form: M = hbar arctan[(b tan(m_l phi) + c/2)/sqrt(ab - c^2/4)].
@@ -193,22 +192,32 @@ class AzimuthalAction:
                 *_combine(self.params, dd1, dd2))
 
     def values(self, phi):
-        """M(phi), unwrapped; phi may be a scalar or a sorted fine array."""
-        hbar = self.units.hbar
+        """M(phi) continued in closed form from its principal value at
+        phi = 0 (from arctan(c/2s) in the (a, b, c) form), so a scalar reads
+        the same as the matching sample of any array."""
         m = self.qn.m_ell
-        scalar = np.isscalar(phi)
-        phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
-        if m != 0 and self.params.form == "floyd":
-            # exact branch continuation of the tan form, poles included
-            b, c, s = self.params.b, self.params.c, self.params.floyd_s
-            out = hbar * continuous_arctan_tan(m * phi_arr, b / s, 0.5 * c / s)
-            return float(out[0]) if scalar else out
-        g1, g2, *_ = self._combo(phi_arr)
-        if scalar or phi_arr.size < 3:
-            # local principal value; branch tracking needs an array
-            out = hbar * np.arctan2(g2, g1)
-            return float(out[0]) if scalar else out
-        return hbar * _unwrapped_angle(g1, g2)
+        p = self.params
+        phi = np.asarray(phi, dtype=float)
+        if m == 0:
+            # (g1, g2) runs along a line that misses the origin, so the
+            # angle it turns through from phi = 0 stays inside (-pi, pi)
+            g1, g2, *_ = self._combo(phi)
+            h1, h2, *_ = self._combo(0.0)
+            out = _principal_angle(h1, h2) + np.arctan2(g2 * h1 - g1 * h2,
+                                                        g1 * h1 + g2 * h2)
+        elif p.form == "floyd":
+            out = continuous_arctan_tan(m * phi, p.b / p.floyd_s,
+                                        0.5 * p.c / p.floyd_s)
+        else:
+            # the Moebius map (1 + mu T)/(nu + T) of T = tan(m phi) is
+            # a tan(m phi - u0) + b with tan u0 = 1/nu
+            mu, nu = p.mu, p.nu
+            u0 = math.atan(1.0 / nu) if nu != 0.0 else 0.5 * math.pi
+            out = continuous_arctan_tan(m * phi - u0,
+                                        (mu * nu - 1.0) / (1.0 + nu**2),
+                                        (mu + nu) / (1.0 + nu**2))
+        out = self.units.hbar * out
+        return out if out.ndim else float(out)
 
     def momentum(self, phi):
         """dM/dphi from the closed Wronskian formula."""
@@ -341,11 +350,3 @@ def component_report(triple: SphericalActionTriple, n_samples: int = 64) -> str:
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
-
-def component_to_csv(field: ReducedActionField, spec: PotentialSpec, path):
-    """Write coord,action,momentum,residual for one component field."""
-    xs = field.x[5:-5]
-    res = qshje_residual(field, spec, xs)
-    data = np.column_stack([xs, field.s0[5:-5], field.p[5:-5], res])
-    np.savetxt(path, data, delimiter=",", fmt=CSV_FLOAT_FORMAT,
-               header="coord,action,momentum,residual", comments="")

@@ -332,3 +332,16 @@ def test_malformed_input_exits_with_json_error(tmp_path, capsys, argv):
     assert code in (2, 3)
     assert isinstance(json.loads(err.strip().splitlines()[-1]), dict)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["action", "--energy", "abc"], "energy"),
+    (["trajectory", "--samples", "-3"], "samples"),
+], ids=["energy", "samples"])
+def test_value_error_names_flag(tmp_path, capsys, argv, field):
+    code = run(argv + ["-o", str(tmp_path / "out")])
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert code == 2
+    assert payload["op"] == "config"
+    assert payload["message"].startswith(f"--{field} must be")
+    assert f"the violated field is '{field}'" in payload["message"]

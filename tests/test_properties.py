@@ -1,5 +1,6 @@
 """Property tests of the shared arctan-ratio machinery: the (mu, nu) <->
-(a, b, c) conversion, the azimuthal QSHJE, and the continued closed form.
+(a, b, c) conversion, the 1-D field and azimuthal QSHJE, and the continued
+closed form.
 
 Examples are derandomized so every run checks the same inputs."""
 
@@ -11,10 +12,13 @@ from hypothesis import assume, given, settings, strategies as st
 from qshje import (
     Grid,
     MicrostateParams,
+    PotentialSpec,
     analytic_free_pair,
     build_field,
     free_particle_closed_form,
+    make_pair,
     params_convert,
+    qshje_residual,
 )
 from qshje.spherical import AzimuthalAction, SphericalQuantumNumbers
 
@@ -23,6 +27,9 @@ PROPERTY = settings(deadline=None, max_examples=40, derandomize=True,
 
 FREE_PAIR = analytic_free_pair(0.5, Grid(-3.0, 3.0, 2001))
 X = FREE_PAIR.grid.points()[100:-100:50]
+
+HARMONIC = PotentialSpec.harmonic(1.0)
+HARMONIC_PAIR = make_pair(HARMONIC, 1.5, Grid(-1.5, 1.5, 6001))
 
 
 @PROPERTY
@@ -45,6 +52,19 @@ _FLOYD = st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0),
                    st.floats(-0.95, 0.95)).map(
     lambda abr: MicrostateParams.from_floyd(
         abr[0], abr[1], 2.0 * abr[2] * math.sqrt(abr[0] * abr[1])))
+
+
+@PROPERTY
+@given(params=_MU_NU, offsets=st.lists(st.floats(0.0, 1.0), min_size=1,
+                                        max_size=50))
+def test_field_qshje_residual_vanishes_between_nodes(params, offsets):
+    # a harmonic pair, so the P''' rung of the d2p_at table carries V'
+    field = build_field(HARMONIC_PAIR, params)
+    grid = HARMONIC_PAIR.grid
+    cells = np.arange(len(offsets)) * ((grid.n_points - 2) // len(offsets))
+    x = grid.x_min + grid.spacing * (cells + np.array(offsets))
+    scale = max(float(np.max(field.p**2)), 1.0)
+    assert np.max(np.abs(qshje_residual(field, HARMONIC, x))) / scale < 1e-4
 
 
 @PROPERTY

@@ -15,9 +15,11 @@ from qshje import (
     PotentialSpec,
     SingularityError,
     UnitSystem,
+    action_variable,
     analytic_free_pair,
     basic_identity_residual,
     bohm_quantum_potential,
+    bound_state,
     build_field,
     combine_pair,
     floyd_momentum,
@@ -29,10 +31,7 @@ from qshje import (
     reconstruct_wavefunction,
     schwarzian,
 )
-from qshje.reduced_action import (
-    field_to_csv,
-    schrodinger_residual_of_reconstruction,
-)
+from qshje.reduced_action import continuous_arctan_tan, field_to_csv
 from qshje.schrodinger import Solution, SolutionPair
 
 E_FREE = 0.5
@@ -189,6 +188,79 @@ def test_floyd_equals_converted_mu_nu():
     assert np.max(np.abs(p_floyd - p_conj)) < 1e-9
 
 
+# --------------------------------------------- Hermite evaluation tables
+
+def test_tables_match_closed_form_free_floyd_between_nodes(free_pair):
+    # P = k s / Q(kx) with Q(u) = a cos^2 u + b sin^2 u + c sin u cos u and
+    # S0 = arctan((b tan kx + c/2)/s), on the (sin, cos) pair with W = -k
+    a, b, c = 2.0, 1.5, 0.7
+    params = MicrostateParams.from_floyd(a, b, c)
+    s = params.floyd_s
+    field = build_field(free_pair, params)
+    k = math.sqrt(2.0 * E_FREE)
+    grid = free_pair.grid
+    rng = np.random.default_rng(5)
+    x = grid.x_min + grid.spacing * (rng.integers(0, grid.n_points - 1, 500)
+                                     + rng.uniform(0.05, 0.95, 500))
+    u = k * x
+    q = a * np.cos(u)**2 + b * np.sin(u)**2 + c * np.sin(u) * np.cos(u)
+    dq = (b - a) * np.sin(2.0 * u) + c * np.cos(2.0 * u)
+    d2q = 2.0 * (b - a) * np.cos(2.0 * u) - 2.0 * c * np.sin(2.0 * u)
+    expected = {
+        "s0_at": continuous_arctan_tan(u, b / s, 0.5 * c / s),
+        "p_at": k * s / q,
+        "dp_at": -k**2 * s * dq / q**2,
+        "d2p_at": k**3 * s * (2.0 * dq**2 / q**3 - d2q / q**2),
+    }
+    for name, ref in expected.items():
+        got = getattr(field, name)(x)
+        assert np.max(np.abs(got - ref)) < 1e-11 * np.max(np.abs(ref)), name
+
+
+def test_tables_match_the_ladder_between_nodes_of_a_harmonic_pair():
+    # the ladder on the doubled grid gives the samples between the coarse
+    # nodes; d2p_at depends on the V' rung of P''' here
+    spec = PotentialSpec.harmonic(1.0)
+    params = MicrostateParams.from_mu_nu(0.4, -0.3)
+    coarse = build_field(make_pair(spec, 1.5, Grid(-1.5, 1.5, 3001)), params)
+    fine = build_field(make_pair(spec, 1.5, Grid(-1.5, 1.5, 6001)), params)
+    mid = fine.x[1::2]
+    for name, ref in (("s0_at", fine.s0), ("p_at", fine.p),
+                      ("dp_at", fine.dp), ("d2p_at", fine.d2p)):
+        got = getattr(coarse, name)(mid)
+        assert np.max(np.abs(got - ref[1::2])) < 2e-9 * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("name", ["s0_at", "p_at", "dp_at", "d2p_at"])
+def test_table_float_branch_equals_array_branch(harmonic_pair, name):
+    evaluate = getattr(build_field(harmonic_pair,
+                                   MicrostateParams.from_mu_nu(0.4, -0.2)), name)
+    grid = harmonic_pair.grid
+    x = np.random.default_rng(7).uniform(grid.x_min, grid.x_max, 1000)
+    x[0], x[-1] = grid.x_min, grid.x_max
+    scalars = [evaluate(float(xi)) for xi in x]
+    assert all(type(v) is float for v in scalars)
+    assert np.array_equal(np.array(scalars), evaluate(x))
+
+
+def test_action_variable_builds_no_table(monkeypatch, harmonic_pair):
+    from qshje import reduced_action
+
+    def no_table(*args):
+        raise AssertionError("an evaluation table was built")
+    monkeypatch.setattr(reduced_action, "_hermite_table", no_table)
+    record = bound_state(PotentialSpec.harmonic(1.0), Grid(-6.0, 6.0, 2001), 0)
+    assert action_variable(record.pair, MicrostateParams.from_floyd(1.0, 1.0, 0.0)) \
+        == pytest.approx(2.0 * math.pi, rel=1e-6)
+
+
+def test_reduced_action_module_has_no_spline():
+    from qshje import reduced_action
+    source = open(reduced_action.__file__, encoding="utf-8").read()
+    assert "CubicSpline" not in source
+    assert "scipy.interpolate" not in source
+
+
 # -------------------------------------------------------- params_convert
 
 def test_convert_classical_family():
@@ -298,7 +370,8 @@ def test_qshje_residual_mobius_transformed_field(harmonic_pair):
         w = float(np.median(sol1.values * sol2.derivs - sol1.derivs * sol2.values))
         pair2 = SolutionPair(grid=base.grid, energy=base.energy,
                              units=base.units, sol1=sol1, sol2=sol2,
-                             wronskian=w, v=harmonic_pair.v)
+                             wronskian=w, v=harmonic_pair.v,
+                             dv=harmonic_pair.dv)
         field2 = build_field(pair2, MicrostateParams.from_mu_nu(0.0, 0.0))
         assert np.max(np.abs(qshje_residual(field2, spec, xs))) < 1e-6
 
@@ -407,6 +480,19 @@ def test_reconstruct_real_for_balanced_coefficients(harmonic_pair):
     x = np.linspace(-2.0, 2.0, 101)
     psi = reconstruct_wavefunction(field, 0.5, 0.5, x)
     assert np.max(np.abs(psi.imag)) < 1e-12 * np.max(np.abs(psi.real))
+
+
+def schrodinger_residual_of_reconstruction(field, spec, alpha, beta):
+    """Grid samples of -(hbar^2/2m) psi'' + (V - E) psi for the
+    reconstructed wave, by second differences (boundary rows dropped)."""
+    m = field.units.mass
+    hbar = field.units.hbar
+    x = field.x
+    h = field.grid.spacing
+    psi = reconstruct_wavefunction(field, alpha, beta, x)
+    d2 = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h**2
+    v = field.v[1:-1]
+    return -(hbar**2 / (2.0 * m)) * d2 + (v - field.energy) * psi[1:-1]
 
 
 def test_reconstruction_solves_schrodinger(harmonic_pair):

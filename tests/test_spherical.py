@@ -221,6 +221,18 @@ def test_azimuthal_m0_affine_basis():
     assert np.max(np.abs(az.qshje_residual(phis))) < 1e-7
 
 
+@pytest.mark.parametrize("m_ell", [0, 1, 2])
+@pytest.mark.parametrize("params", [MicrostateParams.from_mu_nu(0.3, -0.2),
+                                    MicrostateParams.from_floyd(1.3, 2.0, 0.5)],
+                         ids=["mu_nu", "floyd"])
+def test_azimuthal_scalar_equals_end_of_fine_array(m_ell, params):
+    # M(5.0) at l = m = 2, (mu, nu) = (0.3, -0.2) once read -1.93 as a
+    # scalar (principal value) but -11.35 at the end of this array
+    az = AzimuthalAction(SphericalQuantumNumbers(2, m_ell), params)
+    fine = az.values(np.linspace(0.05, 5.0, 20001))
+    assert az.values(5.0) == pytest.approx(fine[-1], rel=1e-13, abs=1e-13)
+
+
 def test_azimuthal_dependence_guard():
     with pytest.raises(ParameterError):
         AzimuthalAction(SphericalQuantumNumbers(1, 1),
@@ -288,14 +300,6 @@ def test_component_report_json(free_triple):
     assert payload["radial_residual_max"] < 1e-5
     assert payload["polar_residual_max"] < 1e-4
     assert payload["azimuthal_residual_max"] < 1e-10
-
-
-def test_component_csv(tmp_path, free_triple):
-    from qshje.spherical import component_to_csv, radial_effective_potential
-    path = tmp_path / "radial.csv"
-    spec = radial_effective_potential(PotentialSpec.free(), free_triple.qn)
-    component_to_csv(free_triple.radial, spec, path)
-    assert path.read_text().splitlines()[0] == "coord,action,momentum,residual"
 
 
 def test_polar_solution_combination_identity():
