@@ -70,10 +70,14 @@ def _default_grid_points() -> int:
     env = os.environ.get("QSHJE_GRID_POINTS")
     if env:
         try:
-            return int(env)
+            n = int(env)
         except ValueError as exc:
             raise ConfigError(f"QSHJE_GRID_POINTS={env!r} is not an integer",
                               module=_MODULE, op="config") from exc
+        if n < 9:
+            raise ConfigError(f"QSHJE_GRID_POINTS={env!r} must be >= 9",
+                              module=_MODULE, op="config")
+        return n
     return 4001
 
 

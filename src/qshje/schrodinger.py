@@ -2,11 +2,12 @@
 
 Potentials, a fixed-step Numerov integrator that carries the first
 derivative, independent solution pairs with controlled Wronskian, node
-counting, and bound-state search by bisection on the node count of a
-left-launched shooting solution (no log-derivative mismatch). Every
-Numerov sweep is one LAPACK banded forward substitution; the search's
-sweeps renormalize forbidden-region overflow and keep only the signs of
-the history they rescale.
+counting, and the bound-state search. Every Numerov sweep is one LAPACK
+banded forward substitution. The search brackets each level on the node
+count of the left-launched solution and closes it in by Illinois regula
+falsi on the sweep's end sample, carried across the counted 1e-200
+overflow rescales (the node-count plus matching-function split of
+Johnson's renormalized Numerov method, J. Chem. Phys. 69, 4678 (1978)).
 
 Natural units hbar = m = 1 are the default; both constants are explicit
 parameters so classical-limit sweeps can rescale hbar.
@@ -33,6 +34,9 @@ _MODULE = "schrodinger"
 
 #: Magnitude at which forbidden-region growth is flagged as overflow.
 _OVERFLOW_LIMIT = 1e250
+
+#: Illinois step of the search: halving a kept end sample, in log10 units.
+_LOG10_2 = math.log10(2.0)
 
 #: Format used for all CSV output (round-trip safe).
 CSV_FLOAT_FORMAT = "%.17g"
@@ -306,62 +310,80 @@ def _rk4_first_step(w_of_x, x0, h, y0, dy0, n_sub=8):
     return y
 
 
-def _numerov_solve(c, y0, y1):
-    """Numerov samples from the seeds y0, y1 by one forward substitution.
+def _numerov_band(n):
+    """Empty buffers of one n-point Numerov sweep: the Fortran-ordered band
+    storage of its triangular system, whose row 2 the caller fills with the
+    coefficients c = 1 - h^2 w / 12, and the right-hand side column that
+    ``_numerov_sweep`` overwrites with the samples."""
+    return np.empty((n, 3)).T, np.empty((n, 1), order="F")
+
+
+def _numerov_sweep(ab, b, h, y0, y1, x0=0.0, renormalize=False):
+    """Numerov samples into b[:, 0] from the seeds y0, y1 and c = ab[2].
 
     The recurrence c[i+1] y[i+1] - (12 - 10 c[i]) y[i] + c[i-1] y[i-1] = 0
     below the two seed rows is a lower-triangular banded system of
-    bandwidth 2; LAPACK ``dtbtrs`` solves it without pivoting, which is the
-    recurrence itself. Returns (samples, info); info > 0 names the 1-based
-    row whose coefficient c vanished, and then nothing was solved.
-    """
-    n = c.size
-    ab = np.empty((n, 3)).T                 # Fortran-ordered band storage
-    ab[0, :2] = 1.0
-    ab[0, 2:] = c[2:]
-    ab[1, 0] = 0.0
-    ab[1, 1:] = 10.0 * c[1:] - 12.0
-    ab[2] = c
-    b = np.zeros((n, 1), order="F")
-    b[0, 0], b[1, 0] = y0, y1
-    y, info = dtbtrs(ab, b, uplo="L", overwrite_b=1)
-    return y[:, 0], info
+    bandwidth 2; LAPACK ``dtbtrs`` solves it in place without pivoting,
+    which is the recurrence itself. The sweep allocates nothing of the
+    grid's size, so a search that reuses the buffers does not pay for
+    fresh pages on every sweep.
 
-
-def _numerov_values(w, h, y0, y1, x0=0.0, renormalize=False):
-    """Run the Numerov recurrence for psi'' = w(x) psi over the array w.
-
-    Each sweep is one LAPACK forward substitution (``_numerov_solve``). The
-    first sample beyond ``_OVERFLOW_LIMIT``, or non-finite, marks
+    The first sample beyond ``_OVERFLOW_LIMIT``, or non-finite, marks
     forbidden-region overflow. Without renormalize it is an error carrying
-    the position. With renormalize (the bound-state search, which needs
-    only signs) the history before it is reduced to its signs, the two
-    samples at the overflow are rescaled by 1e-200 and the solve restarts
-    from them; a sign-only history cannot underflow to zero and lose nodes.
+    the position. With renormalize (the bound-state search) the history
+    before it is reduced to its signs, the two samples at the overflow are
+    rescaled by 1e-200 and the solve restarts from them; a sign-only
+    history cannot underflow to zero and lose nodes. Returns k, the number
+    of rescales applied: the end sample's true value is y[-1] 10^(200 k).
     """
-    c = 1.0 - (h * h / 12.0) * w
-    y = np.empty(c.size)
-    start, s0, s1 = 0, y0, y1
+    c = ab[2]
+    ab[0, 2:] = c[2:]
+    np.multiply(c[1:], 10.0, out=ab[1, 1:])
+    ab[1, 1:] -= 12.0
+    y = b[:, 0]
+    start, s0, s1, k_rescales = 0, y0, y1, 0
     while True:
-        seg, info = _numerov_solve(c[start:], s0, s1)
+        ab[0, start:start + 2] = 1.0
+        ab[1, start] = 0.0
+        y[start], y[start + 1] = s0, s1
+        y[start + 2:] = 0.0
+        x, info = dtbtrs(ab[:, start:], b[start:], uplo="L", overwrite_b=1)
         if info > 0:
             raise NumericError("Numerov coefficient 1 - h^2 w / 12 vanished; "
                                "refine the grid", module=_MODULE,
                                op="integrate_schrodinger",
                                x=x0 + (start + info - 1) * h)
-        y[start:] = seg
-        over = ~(np.abs(seg[2:]) <= _OVERFLOW_LIMIT)
-        if not over.any():
-            return y
-        k = start + 2 + int(np.argmax(over))
+        if not np.may_share_memory(x, b):   # a LAPACK wrapper that copied b
+            b[start:] = x
+        tail = y[start + 2:]
+        # max/min are NaN when a sample is, which fails both comparisons
+        if tail.size == 0 or (tail.max() <= _OVERFLOW_LIMIT
+                              and tail.min() >= -_OVERFLOW_LIMIT):
+            return k_rescales
+        k = start + 2 + int(np.argmax(~(np.abs(tail) <= _OVERFLOW_LIMIT)))
         if not renormalize:
             raise NumericError(
                 "solution overflow in classically forbidden region",
                 module=_MODULE, op="integrate_schrodinger", x=x0 + k * h)
         if not np.isfinite(y[k]):           # count_nodes rejects the sweep
-            return y
-        y[:k - 1] = np.sign(y[:k - 1])
+            return k_rescales
+        np.sign(y[:k - 1], out=y[:k - 1])
         start, s0, s1 = k - 1, y[k - 1] * 1e-200, y[k] * 1e-200
+        k_rescales += 1
+
+
+def _numerov_values(w, h, y0, y1, x0=0.0, renormalize=False):
+    """Run the Numerov recurrence for psi'' = w(x) psi over the array w.
+
+    One ``_numerov_sweep`` on fresh buffers. Returns the samples, or with
+    renormalize (samples, k), k being the number of 1e-200 rescales.
+    """
+    ab, b = _numerov_band(len(w))
+    c = ab[2]
+    np.multiply(w, h * h / 12.0, out=c)
+    np.subtract(1.0, c, out=c)
+    k = _numerov_sweep(ab, b, h, y0, y1, x0=x0, renormalize=renormalize)
+    return (b[:, 0], k) if renormalize else b[:, 0]
 
 
 def _numerov_derivatives(y, w, h, dy0, w_ghost, y_ghost):
@@ -525,22 +547,97 @@ def count_nodes(values) -> int:
     return int(np.sum(s[1:] * s[:-1] < 0.0))
 
 
-def _shoot_nodes(w, h):
-    """Node count of the left-launched solution (0,1), renormalized."""
-    y = _numerov_values(w, h, 0.0, h, renormalize=True)
-    return count_nodes(y[1:])   # skip the endpoint zero
+@dataclass(frozen=True)
+class _Shooting:
+    """What every sweep of one bound-state search shares: the potential
+    samples v, 2m/hbar^2, the grid step and the sweep buffers
+    (``_numerov_band``), which each sweep overwrites."""
+
+    v: np.ndarray
+    coeff: float
+    h: float
+    ab: np.ndarray
+    b: np.ndarray
+
+
+def _shoot_nodes(shooting, e):
+    """One search sweep at energy e of the left-launched solution (0, h),
+    renormalized, in the search's own buffers.
+
+    Returns (node count, end sample y_N, k). The count skips the endpoint
+    zero; y_N 10^(200 k) is the end sample's true value, k being the number
+    of 1e-200 rescales, and its sign is (-1)^count.
+    """
+    h, c = shooting.h, shooting.ab[2]
+    np.subtract(shooting.v, e, out=c)       # c = 1 - h^2 coeff (V - e) / 12
+    c *= shooting.coeff
+    c *= h * h / 12.0
+    np.subtract(1.0, c, out=c)
+    k = _numerov_sweep(shooting.ab, shooting.b, h, 0.0, h, renormalize=True)
+    y = shooting.b[:, 0]
+    return count_nodes(y[1:]), float(y[-1]), k
+
+
+def _end_log(y_end, k):
+    """log10 |y_N 10^(200 k)|, the magnitude of a sweep's true end sample."""
+    return math.log10(abs(y_end)) + 200.0 * k if y_end else -math.inf
+
+
+def _close_level(shoot, history, n, e_tol):
+    """Level n from the tightest bracket in history.
+
+    Bisection on the node count runs until the two ends have opposite
+    signs and magnitudes within a factor 10^2; then Illinois regula falsi
+    on the signed end sample picks each new energy, its count decides
+    which end it replaces, and a step outside the bracket falls back to
+    the midpoint. history holds (E, count, y_N, k) per sweep; shoot(E)
+    sweeps once, appends to it and returns the new entry.
+    """
+    e_lo, _, y_lo, k_lo = max((p for p in history if p[1] <= n), key=lambda p: p[0])
+    e_hi, _, y_hi, k_hi = min((p for p in history if p[1] > n), key=lambda p: p[0])
+    m_lo, m_hi = _end_log(y_lo, k_lo), _end_log(y_hi, k_hi)
+    falsi, side = False, 0
+    for _ in range(200):
+        tol = max(e_tol, 1e-14 * abs(e_hi))
+        if e_hi - e_lo <= tol:
+            break
+        # bisect on the count until the ends straddle one sign change of
+        # comparable magnitude, where the end sample is nearly linear in E
+        straddle = (y_lo > 0.0) != (y_hi > 0.0)
+        falsi = falsi or (straddle and abs(m_lo - m_hi) <= 2.0)
+        e = 0.5 * (e_lo + e_hi)
+        if falsi and straddle:
+            e_rf = e_lo + (e_hi - e_lo) / (1.0 + 10.0 ** min(m_hi - m_lo, 300.0))
+            if e_lo < e_rf < e_hi:
+                # a step at least tol/2 inside lets the far end move too
+                e = min(max(e_rf, e_lo + 0.5 * tol), e_hi - 0.5 * tol)
+        e, count, y, k = shoot(e)
+        if count > n:
+            e_hi, y_hi, m_hi = e, y, _end_log(y, k)
+            if falsi and side > 0:
+                m_lo -= _LOG10_2            # Illinois: halve the kept end
+            side = 1
+        else:
+            e_lo, y_lo, m_lo = e, y, _end_log(y, k)
+            if falsi and side < 0:
+                m_hi -= _LOG10_2
+            side = -1
+    return 0.5 * (e_lo + e_hi)
 
 
 def find_bound_energies(spec: PotentialSpec, grid: Grid,
                         units: UnitSystem = NATURAL_UNITS,
                         n_max: int = 1, e_tol: float = 1e-12) -> list[float]:
-    """First n_max bound energies by bisection on the node count alone.
+    """First n_max bound energies by a node-count bracket closed in by
+    Illinois regula falsi on the end sample of the shooting solution.
 
-    Level n is the midpoint of the bracket on which the node count of the
-    left-launched solution steps from n to n + 1, bisected until it is no
-    wider than max(e_tol, 1e-14 |E|). Each count is one renormalized
-    Numerov sweep (``_shoot_nodes``), a LAPACK forward substitution whose
-    history keeps only signs across each overflow rescale.
+    Each sweep (``_shoot_nodes``) gives the node count and the end sample
+    y_N 10^(200 k) of the left-launched solution; level n lies where the
+    count steps from n to n + 1, which is where the end sample changes
+    sign. Every sweep of a call is kept, so each level starts from the
+    tightest bracket already seen and the window ends are swept once per
+    call (``_close_level``). The level is the midpoint of its bracket once
+    that is no wider than max(e_tol, 1e-14 |E|).
 
     The potential must confine on the grid (V large at both ends relative
     to the returned energies).
@@ -559,31 +656,25 @@ def find_bound_energies(spec: PotentialSpec, grid: Grid,
             f"potential not confining on grid: scan window [{e_floor:.6g}, {e_ceil:.6g}] empty",
             module=_MODULE, op="find_bound_energies")
 
-    def nodes_at(e):
-        return _shoot_nodes(coeff * (v - e), h)
+    shooting = _Shooting(v, coeff, h, *_numerov_band(v.size))
+    history = []
 
-    energies = []
-    for n in range(n_max):
-        lo, hi = e_floor, e_ceil
-        if nodes_at(hi) <= n:
-            raise SearchError(
-                f"state {n} not bracketed in energy window [{e_floor:.6g}, {e_ceil:.6g}]",
-                module=_MODULE, op="find_bound_energies")
-        # squeeze [lo, hi] to the node-count transition n -> n+1
-        if nodes_at(lo) > n:
-            raise SearchError(
-                f"node count at window floor already exceeds {n}",
-                module=_MODULE, op="find_bound_energies")
-        for _ in range(200):
-            if hi - lo <= max(e_tol, 1e-14 * abs(hi)):
-                break
-            mid = 0.5 * (lo + hi)
-            if nodes_at(mid) > n:
-                hi = mid
-            else:
-                lo = mid
-        energies.append(0.5 * (lo + hi))
-    return energies
+    def shoot(e):
+        history.append((e, *_shoot_nodes(shooting, e)))
+        return history[-1]
+
+    # count(e_ceil) is the first level the window cannot bracket; say so
+    # before any level is searched
+    ceil_count = shoot(e_ceil)[1]
+    if shoot(e_floor)[1] > 0:
+        raise SearchError("node count at window floor already exceeds 0",
+                          module=_MODULE, op="find_bound_energies")
+    if ceil_count < n_max:
+        raise SearchError(
+            f"state {ceil_count} not bracketed in energy window "
+            f"[{e_floor:.6g}, {e_ceil:.6g}]",
+            module=_MODULE, op="find_bound_energies")
+    return [_close_level(shoot, history, n, e_tol) for n in range(n_max)]
 
 
 def physical_bound_solution(spec: PotentialSpec, energy: float, grid: Grid,

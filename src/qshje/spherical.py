@@ -160,7 +160,9 @@ class AzimuthalAction:
     for m_l = 0), with a closed-form continued arctan and analytic momentum.
 
     (eps, tau) form: M = hbar arctan[(F1 + eps F2)/(tau F1 + F2)];
-    (a, b, c) form: M = hbar arctan[(b tan(m_l phi) + c/2)/sqrt(ab - c^2/4)].
+    (a, b, c) form: M = hbar arctan[(b tan(m_l phi) + c/2)/sqrt(ab - c^2/4)],
+    which takes the basis in the order {sin(m_l phi), cos(m_l phi)}, so that
+    the momentum hbar m_l b / (s D) is the derivative of these values.
     """
 
     def __init__(self, qn: SphericalQuantumNumbers, params: MicrostateParams,
@@ -178,7 +180,9 @@ class AzimuthalAction:
         phi = np.asarray(phi, dtype=float)
         if m != 0:
             f1, f2 = np.cos(m * phi), np.sin(m * phi)
-            d1, d2 = -m * np.sin(m * phi), m * np.cos(m * phi)
+            d1, d2 = -m * f2, m * f1
+            if self.params.form == "floyd":
+                f1, f2, d1, d2 = f2, f1, d2, d1
             dd1, dd2 = -m * m * f1, -m * m * f2
         else:
             f1, f2 = np.ones_like(phi), phi

@@ -220,6 +220,18 @@ def test_grid_points_env_override(tmp_path):
             os.environ["QSHJE_GRID_POINTS"] = old
 
 
+@pytest.mark.parametrize("value", ["-5", "2"])
+def test_grid_points_env_too_small_is_config_error(tmp_path, capsys,
+                                                   monkeypatch, value):
+    monkeypatch.setenv("QSHJE_GRID_POINTS", value)
+    code = run(["pair", "--potential", "free", "--energy", "0.5",
+                "--grid", "0:3", "-o", str(tmp_path / "pair.csv")])
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert code == 2
+    assert payload["op"] == "config"
+    assert "QSHJE_GRID_POINTS" in payload["message"]
+
+
 def test_sweep_microstates_quantize(tmp_path):
     out = tmp_path / "micro.csv"
     sets = "a=1,b=1,c=0;a=1.125,b=2,c=1;a=1.5,b=0.5,c=-1;a=1.045,b=5,c=0.3;a=2,b=0.25,c=-1"

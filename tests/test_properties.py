@@ -1,6 +1,6 @@
 """Property tests of the shared arctan-ratio machinery: the (mu, nu) <->
 (a, b, c) conversion, the 1-D field and azimuthal QSHJE, and the continued
-closed form.
+closed form; and of the bound-state search against a node-count bisection.
 
 Examples are derandomized so every run checks the same inputs."""
 
@@ -15,11 +15,13 @@ from qshje import (
     PotentialSpec,
     analytic_free_pair,
     build_field,
+    find_bound_energies,
     free_particle_closed_form,
     make_pair,
     params_convert,
     qshje_residual,
 )
+from qshje.schrodinger import _numerov_values, count_nodes
 from qshje.spherical import AzimuthalAction, SphericalQuantumNumbers
 
 PROPERTY = settings(deadline=None, max_examples=40, derandomize=True,
@@ -92,3 +94,43 @@ def test_closed_form_continuous_across_poles(energy, a_const, sign, b_const):
         xs = free_particle_closed_form(energy, a_const, b_const, 0.0, 0.0,
                                        side / (2.0 * energy))
         assert np.max(np.abs(xs - x)) < 1e-3
+
+
+# ----------------------------------------------------------- bound search
+
+_QUARTIC_X = np.linspace(-3.2, 3.2, 401)
+_WELLS = st.one_of(
+    st.floats(0.5, 2.0).map(
+        lambda omega: (PotentialSpec.harmonic(omega), 6.5 / math.sqrt(omega))),
+    st.floats(0.5, 2.0).map(
+        lambda c4: (PotentialSpec.tabulated(_QUARTIC_X, c4 * _QUARTIC_X**4), 3.2)))
+
+
+def _bisect_on_count(count, n, lo, hi, e_tol=1e-12):
+    """Oracle: the n -> n + 1 step of count(E), by bisection alone."""
+    while hi - lo > max(e_tol, 1e-14 * abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if count(mid) > n:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@PROPERTY
+@given(well=_WELLS, n_points=st.integers(1001, 6001))
+def test_bound_search_brackets_each_level(well, n_points):
+    spec, half = well
+    grid = Grid(-half, half, n_points)
+    v = spec.value(grid.points())
+
+    def count(energy):
+        # nodes of the left-launched solution; these wells never overflow
+        y = _numerov_values(2.0 * (v - energy), grid.spacing, 0.0, grid.spacing)
+        return count_nodes(y[1:])
+
+    for n, energy in enumerate(find_bound_energies(spec, grid, n_max=3)):
+        delta = 1e-9 * max(1.0, abs(energy))
+        assert count(energy - delta) <= n < count(energy + delta)
+        oracle = _bisect_on_count(count, n, float(np.min(v)), min(v[0], v[-1]))
+        assert abs(energy - oracle) < 1e-11

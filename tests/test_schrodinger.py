@@ -23,6 +23,7 @@ from qshje import (
     pair_to_csv,
     physical_bound_solution,
 )
+from qshje import schrodinger
 from qshje.schrodinger import Solution, _numerov_values, pair_from_solutions
 
 
@@ -304,6 +305,77 @@ def test_harmonic_spectrum_on_wide_grid():
     for grid in (Grid(-45.0, 45.0, 18001), Grid(-60.0, 60.0, 24001)):
         energies = find_bound_energies(PotentialSpec.harmonic(1.0), grid, n_max=3)
         assert np.max(np.abs(np.array(energies) - [0.5, 1.5, 2.5])) < 1e-6
+
+
+def test_rescale_count_carries_the_end_sample_magnitude():
+    # the sweep is linear in its seed: seeds 1e-150 and 1e-300 times smaller
+    # overflow later and rescale less often, yet y_N 10^(200 k) / seed agrees
+    grid = Grid(-60.0, 60.0, 24001)
+    h = grid.spacing
+    w = 2.0 * (0.5 * grid.points()**2 - 1.0)
+    logs, rescales = [], set()
+    for seed in (1.0, 1e-150, 1e-300):
+        y, k = _numerov_values(w, h, 0.0, seed * h, renormalize=True)
+        logs.append(math.log10(abs(y[-1])) + 200.0 * k - math.log10(seed))
+        rescales.add(k)
+    assert len(rescales) > 1
+    assert max(logs) - min(logs) < 1e-9
+
+
+def test_search_sweeps_reuse_buffers_exactly():
+    # the search's sweeps share one pair of buffers; each must read exactly
+    # as a sweep on fresh ones, also after a sweep that rescaled
+    grid = Grid(-60.0, 60.0, 24001)
+    h = grid.spacing
+    v = 0.5 * grid.points()**2
+    shooting = schrodinger._Shooting(v, 2.0, h, *schrodinger._numerov_band(v.size))
+    seen = []
+    for e in (0.3, 1.0, 2.2, 0.3, 4.499, 1.0):
+        y, k = _numerov_values(2.0 * (v - e), h, 0.0, h, renormalize=True)
+        got = schrodinger._shoot_nodes(shooting, e)
+        assert got == (count_nodes(y[1:]), float(y[-1]), k)
+        seen.append(k)
+    assert min(seen) > 0
+
+
+# (spec, grid, levels 0-4 by bisection on the node count alone)
+_DW_X = np.linspace(-3.5, 3.5, 501)
+_MORSE_X = np.linspace(-1.5, 9.0, 601)
+_SEARCH_WELLS = {
+    "harmonic": (PotentialSpec.harmonic(1.0), Grid(-7.5, 7.5, 15001),
+                 [0.49999999999106826, 1.5000000000087752, 2.5000000000120934,
+                  3.5000000000018225, 4.50000000000594]),
+    "double_well": (PotentialSpec.tabulated(
+        _DW_X, 0.75 * (_DW_X**2 - 1.25**2)**2 + 0.15 * _DW_X),
+        Grid(-3.5, 3.5, 8001),
+        [1.105799699166322, 1.5789479066726702, 3.271332009756187,
+         4.942202167264713, 7.011569082221024]),
+    "morse": (PotentialSpec.tabulated(
+        _MORSE_X, 25.0 * (1.0 - np.exp(-0.75 * _MORSE_X))**2),
+        Grid(-1.5, 9.0, 11001),
+        [2.58133800265699, 7.32213945420546, 11.500442298330952,
+         15.11624745698472, 18.16955485244234]),
+    "harmonic_wide": (PotentialSpec.harmonic(1.0), Grid(-60.0, 60.0, 24001),
+                      [0.4999999999974807, 1.4999999999824487, 2.49999999993784,
+                       3.4999999998476685, 4.4999999996847535]),
+}
+
+
+def test_bound_search_sweeps_per_level(monkeypatch):
+    # bisection on the count alone needs about 47 sweeps per level; closing
+    # each bracket in on the end sample's sign change needs at most 20
+    shoot = schrodinger._shoot_nodes
+    sweeps = []
+
+    def counted(w, h):
+        sweeps.append(1)
+        return shoot(w, h)
+
+    monkeypatch.setattr(schrodinger, "_shoot_nodes", counted)
+    for spec, grid, bisected in _SEARCH_WELLS.values():
+        energies = find_bound_energies(spec, grid, n_max=5)
+        assert np.max(np.abs(np.array(energies) - bisected)) < 1e-11
+    assert len(sweeps) / (5 * len(_SEARCH_WELLS)) <= 20.0
 
 
 def test_free_potential_has_no_bound_states():

@@ -233,6 +233,21 @@ def test_azimuthal_scalar_equals_end_of_fine_array(m_ell, params):
     assert az.values(5.0) == pytest.approx(fine[-1], rel=1e-13, abs=1e-13)
 
 
+@pytest.mark.parametrize("m_ell", [0, 1, 2])
+@pytest.mark.parametrize("params", [MicrostateParams.from_mu_nu(0.3, -0.2),
+                                    MicrostateParams.from_floyd(2.0, 1.5, 0.7),
+                                    MicrostateParams.from_floyd(1.0, 1.0, 0.0)],
+                         ids=["mu_nu", "floyd", "floyd_classical"])
+def test_azimuthal_momentum_is_derivative_of_values(m_ell, params):
+    # in the (a, b, c) form the values are the tan form, so the momentum
+    # must be built on (sin m phi, cos m phi), not on the cot-form order
+    az = AzimuthalAction(SphericalQuantumNumbers(2, m_ell), params)
+    phis = np.linspace(0.05, 2.0 * math.pi - 0.05, 2001)
+    eps = 1e-6
+    quotient = (az.values(phis + eps) - az.values(phis - eps)) / (2.0 * eps)
+    assert np.max(np.abs(quotient - az.momentum(phis))) < 1e-6
+
+
 def test_azimuthal_dependence_guard():
     with pytest.raises(ParameterError):
         AzimuthalAction(SphericalQuantumNumbers(1, 1),

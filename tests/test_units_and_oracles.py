@@ -118,3 +118,18 @@ def test_tabulated_table_covering_exactly_the_grid():
     pair = make_pair(tab, 0.5, grid)
     drift = np.max(np.abs(pair.wronskian_samples() - pair.wronskian))
     assert drift < 1e-8
+
+
+def test_radial_harmonic_bound_states():
+    # 3-D oscillator, ell = 2: E = 2 n + ell + 3/2 below a centrifugal wall,
+    # and one Floyd microstate quantizes each level at J = (n + 1) h
+    ell = 2
+    spec = PotentialSpec.radial_effective(PotentialSpec.harmonic(1.0),
+                                          ell * (ell + 1))
+    grid = Grid(0.02, 7.5, 15001)
+    energies = find_bound_energies(spec, grid, n_max=3)
+    for n, energy in enumerate(energies):
+        assert abs(energy - (2 * n + ell + 1.5)) < 5e-8
+        record = bound_state(spec, grid, n, energy=energy)
+        j = action_variable(record.pair, MicrostateParams.from_floyd(1.0, 1.0, 0.0))
+        assert abs(j / (2.0 * math.pi) - (n + 1)) < 5e-9
