@@ -8,6 +8,9 @@ count of the left-launched solution and closes it in by Illinois regula
 falsi on the sweep's end sample, carried across the counted 1e-200
 overflow rescales (the node-count plus matching-function split of
 Johnson's renormalized Numerov method, J. Chem. Phys. 69, 4678 (1978)).
+Each level is seeded with two sweeps just either side of a coarse
+finite-difference estimate; being sweeps like any other, they can narrow
+a bracket but not change the step of the node count it closes on.
 
 Natural units hbar = m = 1 are the default; both constants are explicit
 parameters so classical-limit sweeps can rescale hbar.
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.linalg.lapack import dtbtrs
 
 from .errors import (
@@ -625,6 +629,34 @@ def _close_level(shoot, history, n, e_tol):
     return 0.5 * (e_lo + e_hi)
 
 
+def _level_estimates(v, coeff, h, n_max):
+    """Estimates (E, half-width) of the first n_max levels from the samples v.
+
+    Three-point finite differences on every s-th and every 2s-th sample,
+    s = max(1, (N - 1) // 500), with psi = 0 at the first and last sample
+    taken (the sweep's walls when 2s divides N - 1), combined by
+    Richardson; the half-width is 1 % of the two grids' difference, plus
+    1e-10. Empty when the coarser grid has n_max + 2 points or fewer, or
+    when LAPACK fails. (Samples that are not finite never get here: the
+    window-end sweeps reject them.)
+    """
+    s = max(1, (v.size - 1) // 500)
+    if v[::2 * s].size <= n_max + 2:
+        return []
+    levels = []
+    for step in (s, 2 * s):
+        t = 1.0 / (coeff * (step * h) ** 2)
+        diag = v[::step][1:-1] + 2.0 * t
+        try:
+            levels.append(eigh_tridiagonal(
+                diag, np.full(diag.size - 1, -t), eigvals_only=True,
+                select="i", select_range=(0, n_max - 1)))
+        except LinAlgError:
+            return []
+    return [((4.0 * e_s - e_2s) / 3.0, 0.01 * abs(e_s - e_2s) + 1e-10)
+            for e_s, e_2s in zip(*levels)]
+
+
 def find_bound_energies(spec: PotentialSpec, grid: Grid,
                         units: UnitSystem = NATURAL_UNITS,
                         n_max: int = 1, e_tol: float = 1e-12) -> list[float]:
@@ -638,6 +670,14 @@ def find_bound_energies(spec: PotentialSpec, grid: Grid,
     tightest bracket already seen and the window ends are swept once per
     call (``_close_level``). The level is the midpoint of its bracket once
     that is no wider than max(e_tol, 1e-14 |E|).
+
+    Before any level is closed, each is seeded with one sweep either side
+    of its finite-difference estimate (``_level_estimates``), usually
+    close enough to start regula falsi at once. A seed sweep is only one
+    more entry in the history: its node count decides which side of which
+    level it lies on. An estimate that is off, out of order or missing
+    costs sweeps; each level is still the same step of the count, closed
+    to the same width, and every error is raised as before.
 
     The potential must confine on the grid (V large at both ends relative
     to the returned energies).
@@ -674,6 +714,12 @@ def find_bound_energies(spec: PotentialSpec, grid: Grid,
             f"state {ceil_count} not bracketed in energy window "
             f"[{e_floor:.6g}, {e_ceil:.6g}]",
             module=_MODULE, op="find_bound_energies")
+    # seed each level with a sweep either side of its estimate; a sweep only
+    # adds to the history, so a wrong estimate costs two sweeps, not a level
+    for e_est, half in _level_estimates(v, coeff, h, n_max):
+        for e in (e_est - half, e_est + half):
+            if e_floor < e < e_ceil:
+                shoot(e)
     return [_close_level(shoot, history, n, e_tol) for n in range(n_max)]
 
 

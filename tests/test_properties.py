@@ -1,24 +1,30 @@
 """Property tests of the shared arctan-ratio machinery: the (mu, nu) <->
 (a, b, c) conversion, the 1-D field and azimuthal QSHJE, and the continued
-closed form; and of the bound-state search against a node-count bisection.
+closed form; of the bound-state search against a node-count bisection; and
+of J = N h under random Floyd triples.
 
 Examples are derandomized so every run checks the same inputs."""
 
 import math
+from functools import cache
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qshje import (
     Grid,
     MicrostateParams,
     PotentialSpec,
+    action_variable,
     analytic_free_pair,
+    bound_state,
     build_field,
     find_bound_energies,
     free_particle_closed_form,
     make_pair,
     params_convert,
+    physical_bound_solution,
     qshje_residual,
 )
 from qshje.schrodinger import _numerov_values, count_nodes
@@ -134,3 +140,45 @@ def test_bound_search_brackets_each_level(well, n_points):
         assert count(energy - delta) <= n < count(energy + delta)
         oracle = _bisect_on_count(count, n, float(np.min(v)), min(v[0], v[-1]))
         assert abs(energy - oracle) < 1e-11
+
+
+@pytest.mark.parametrize("depth", [4.0, 10.0])
+def test_bound_search_resolves_doublets(depth):
+    # symmetric double well a (x^2 - 2.25)^2: a = 4 splits levels 0 and 1
+    # by 2.3e-4, a = 10 by 2.9e-7, below the 7.3e-7 error of the
+    # Richardson estimate, so one estimate's seed sweeps bracket both levels
+    xs = np.linspace(-3.5, 3.5, 501)
+    spec = PotentialSpec.tabulated(xs, depth * (xs**2 - 2.25)**2)
+    grid = Grid(-3.5, 3.5, 8001)
+    v = spec.value(grid.points())
+
+    def count(energy):
+        y = _numerov_values(2.0 * (v - energy), grid.spacing, 0.0, grid.spacing)
+        return count_nodes(y[1:])
+
+    for n, energy in enumerate(find_bound_energies(spec, grid, n_max=4)):
+        oracle = _bisect_on_count(count, n, float(np.min(v)), min(v[0], v[-1]))
+        assert abs(energy - oracle) < 1e-11
+        assert count_nodes(physical_bound_solution(spec, energy, grid).values) == n
+
+
+# ------------------------------------------------------------ J = N h
+
+@cache
+def _harmonic_records():
+    """Levels 0-2 of harmonic omega = 1 on criterion 6's grid."""
+    grid = Grid(-7.5, 7.5, 15001)
+    energies = find_bound_energies(HARMONIC, grid, n_max=3)
+    return [bound_state(HARMONIC, grid, n, energy=e) for n, e in enumerate(energies)]
+
+
+@PROPERTY
+@given(b=st.floats(0.3, 3.0), c=st.floats(-2.0, 2.0))
+def test_action_variable_is_n_h_under_random_floyd_triples(b, c):
+    # J counts the partner's nodes whatever the microstate; the worst
+    # |J/h - (n + 1)| measured over these examples is 0, so the bound
+    # leaves a few ulps for other numpy and scipy builds
+    params = MicrostateParams.from_floyd(c * c / (4.0 * b) + 1.0, b, c)
+    for n, record in enumerate(_harmonic_records()):
+        j_over_h = action_variable(record.pair, params) / (2.0 * math.pi)
+        assert abs(j_over_h - (n + 1)) < 1e-14

@@ -362,8 +362,9 @@ _SEARCH_WELLS = {
 
 
 def test_bound_search_sweeps_per_level(monkeypatch):
-    # bisection on the count alone needs about 47 sweeps per level; closing
-    # each bracket in on the end sample's sign change needs at most 20
+    # bisection on the count alone needs about 47 sweeps per level and
+    # closing the count's bracket in on the end sample's sign change about
+    # 16; seeded at the finite-difference estimates it needs at most 10
     shoot = schrodinger._shoot_nodes
     sweeps = []
 
@@ -375,7 +376,49 @@ def test_bound_search_sweeps_per_level(monkeypatch):
     for spec, grid, bisected in _SEARCH_WELLS.values():
         energies = find_bound_energies(spec, grid, n_max=5)
         assert np.max(np.abs(np.array(energies) - bisected)) < 1e-11
-    assert len(sweeps) / (5 * len(_SEARCH_WELLS)) <= 20.0
+    assert len(sweeps) / (5 * len(_SEARCH_WELLS)) <= 10.0
+
+
+def _shift_up(estimates):
+    # each estimate moved up by 0.3 of its spacing to the next level (the
+    # last by its spacing to the one below), which puts both of its seed
+    # sweeps between two levels
+    energies = [e for e, _ in estimates]
+    gaps = np.diff(energies).tolist()
+    gaps.append(gaps[-1])
+    return [(e + 0.3 * gap, half) for (e, half), gap in zip(estimates, gaps)]
+
+
+_SEARCH_ERRORS = [
+    (PotentialSpec.free(), Grid(-6.0, 6.0, 1001), 1,
+     "potential not confining on grid: scan window [1e-12, 0] empty"),
+    (PotentialSpec.harmonic(1.0), Grid(-4.0, 4.0, 8001), 12,
+     "state 8 not bracketed in energy window [1e-12, 8]"),
+]
+
+
+@pytest.mark.parametrize("perturb", [_shift_up, lambda est: est[::-1],
+                                     lambda est: []],
+                         ids=["shifted", "reversed", "none"])
+def test_level_estimates_only_narrow_a_bracket(monkeypatch, perturb):
+    # the seed sweeps only join the history, so wrong, reordered or missing
+    # estimates cost sweeps but never move a level or an error
+    estimate = schrodinger._level_estimates
+    calls = []
+
+    def perturbed(*args):
+        calls.append(1)
+        return perturb(estimate(*args))
+
+    monkeypatch.setattr(schrodinger, "_level_estimates", perturbed)
+    for spec, grid, bisected in _SEARCH_WELLS.values():
+        energies = find_bound_energies(spec, grid, n_max=5)
+        assert np.max(np.abs(np.array(energies) - bisected)) < 1e-11
+    assert len(calls) == len(_SEARCH_WELLS)
+    for spec, grid, n_max, message in _SEARCH_ERRORS:
+        with pytest.raises(SearchError) as err:
+            find_bound_energies(spec, grid, n_max=n_max)
+        assert str(err.value) == message
 
 
 def test_free_potential_has_no_bound_states():
