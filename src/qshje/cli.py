@@ -265,8 +265,8 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_action(args) -> int:
-    spec, _, field = _scenario(args)
-    field_to_csv(field, spec, args.output)
+    field = _scenario(args)[2]
+    field_to_csv(field, args.output)
     return 0
 
 
@@ -391,8 +391,11 @@ def _cmd_residuals(args) -> int:
 
 def _cmd_accept(args) -> int:
     from . import acceptance
-    results = acceptance.run_all(verbose=True)
-    return 0 if all(r.passed for r in results) else 1
+    failed = [r for r in acceptance.run_all(verbose=True) if not r.passed]
+    if failed:
+        raise QshjeError("acceptance criteria failed: " + ", ".join(
+            f"{r.index} ({r.name})" for r in failed), module=_MODULE, op="accept")
+    return 0
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,10 @@ _MODULE = "dynamics"
 #: |E - V| below this is treated as an exact turning point.
 TURNING_POINT_TOL = 1e-12
 
+#: Absolute and relative tolerance of the time-of-flight and
+#: quantum-coordinate quadratures.
+_QUAD_TOL = 1e-11
+
 
 @dataclass(frozen=True)
 class TrajectorySample:
@@ -71,9 +75,6 @@ class Trajectory:
         return [TrajectorySample(float(t), float(x), float(v))
                 for t, x, v in zip(self.t, self.x, self.xdot)]
 
-    def position_at(self, t):
-        return self.sol(np.asarray(t))[0] if self.sol is not None else None
-
 
 def f_function(field: ReducedActionField, spec: PotentialSpec, x):
     """Kinetic deformation f = P^2 / (2m (E - V)); positive in classically
@@ -98,11 +99,11 @@ def velocity(field: ReducedActionField, spec: PotentialSpec, x):
 
 def integrate_trajectory(field: ReducedActionField, spec: PotentialSpec,
                          x0: float, t_span, tol: float = 1e-9,
-                         t_eval=None, n_samples: int = 200) -> Trajectory:
+                         n_samples: int = 200) -> Trajectory:
     """Integrate dx/dt = 2 (E - V(x)) / P(x) with DOP853 and dense output.
 
-    The samples are the dense output at t_eval (or n_samples equispaced
-    times), with xdot from the dispersion relation at each sample. Halts
+    The samples are the dense output at n_samples equispaced times, with
+    xdot from the dispersion relation at each sample. Halts
     cleanly when the trajectory reaches the grid edge (reporting the exit
     time) or when it stalls on the asymptotic approach to a turning point
     (velocity collapse; the flow never crosses a turning point).
@@ -165,11 +166,7 @@ def integrate_trajectory(field: ReducedActionField, spec: PotentialSpec,
             exit_position = float(res.y_events[1][0][0])
             t_end = exit_time
 
-    if t_eval is None:
-        t_eval = np.linspace(t0, t_end, n_samples)
-    else:
-        t_eval = np.asarray(t_eval, dtype=float)
-        t_eval = t_eval[(t_eval >= min(t0, t_end)) & (t_eval <= max(t0, t_end))]
+    t_eval = np.linspace(t0, t_end, n_samples)
     xs = res.sol(t_eval)[0]
     vs = velocity(field, spec, xs)
     return Trajectory(t=t_eval, x=xs, xdot=vs, status=status,
@@ -178,7 +175,7 @@ def integrate_trajectory(field: ReducedActionField, spec: PotentialSpec,
 
 
 def time_of_flight(field: ReducedActionField, spec: PotentialSpec,
-                   x0: float, x1: float, tol: float = 1e-11) -> float:
+                   x0: float, x1: float) -> float:
     """Adaptive quadrature of dt = P dx / (2 (E - V)) between x0 and x1.
 
     A classical turning point strictly inside the interval makes the
@@ -202,7 +199,7 @@ def time_of_flight(field: ReducedActionField, spec: PotentialSpec,
     def integrand(x):
         return field.p_at(x) / (2.0 * (e - spec.value(x, field.units)))
 
-    val, _ = quad(integrand, x0, x1, epsabs=tol, epsrel=tol, limit=500)
+    val, _ = quad(integrand, x0, x1, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=500)
     return val
 
 
@@ -314,9 +311,10 @@ def fiqnl_residual(spec: PotentialSpec, energy: float, x, xdot, xddot,
             - (3.0 * hbar**2 / 16.0) * (xdot * dv)**2)
 
 
-def fiqnl_residual_along(traj: Trajectory, delta: float = None):
+def fiqnl_residual_along(traj: Trajectory):
     """FIQNL residual at the trajectory's sample times with xdot, xddot,
-    xdddot obtained by fourth-order differencing of the dense output.
+    xdddot obtained by fourth-order differencing of the dense output, with a
+    step of 2e-3 of the sampled span (at least 1e-6).
 
     This checks the integrated path itself, independently of the field's
     derivatives. Rows whose seven-point stencil would leave the integrated
@@ -325,9 +323,7 @@ def fiqnl_residual_along(traj: Trajectory, delta: float = None):
     residuals relative to E^4).
     """
     field = traj.field
-    tspan = traj.t[-1] - traj.t[0]
-    if delta is None:
-        delta = max(abs(tspan) * 2e-3, 1e-6)
+    delta = max(abs(traj.t[-1] - traj.t[0]) * 2e-3, 1e-6)
     t_lo = min(traj.t[0], traj.t[-1]) + 3.0 * delta
     t_hi = max(traj.t[0], traj.t[-1]) - 3.0 * delta
     centres = np.minimum(np.maximum(traj.t, t_lo), t_hi)
@@ -364,7 +360,7 @@ def _flow_derivatives(field: ReducedActionField, spec: PotentialSpec, x):
 # ----------------------------------------------------------------------
 
 def quantum_coordinate(field: ReducedActionField, spec: PotentialSpec,
-                       x_ref: float, x: float, tol: float = 1e-11) -> float:
+                       x_ref: float, x: float) -> float:
     """Deformed coordinate x_hat = integral of P/sqrt(2m(E-V)) from x_ref.
 
     The interval must lie inside one classically allowed region (the
@@ -383,13 +379,14 @@ def quantum_coordinate(field: ReducedActionField, spec: PotentialSpec,
     def integrand(xx):
         return field.p_at(xx) / math.sqrt(2.0 * m * (e - spec.value(xx, field.units)))
 
-    val, _ = quad(integrand, x_ref, x, epsabs=tol, epsrel=tol, limit=500)
+    val, _ = quad(integrand, x_ref, x, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
+                  limit=500)
     return val
 
 
 def quantum_jacobi_time(field_builder, spec: PotentialSpec, x_hat_target: float,
                         energy: float, delta_e: float = None,
-                        x_ref: float = None, search_window=None) -> float:
+                        x_ref: float = None) -> float:
     """Arrival time from the quantum Jacobi theorem: the E-derivative of
     S0 at fixed quantum coordinate, by centered differencing over fields
     built at E +- delta_e with the same microstate parameters.
@@ -397,6 +394,7 @@ def quantum_jacobi_time(field_builder, spec: PotentialSpec, x_hat_target: float,
     field_builder(E) must return a ReducedActionField with consistent
     parameters and conventions; S0 is measured from x_ref (the origin of
     the quantum coordinate), which fixes the common time-origin convention.
+    The arrival point is searched for two grid steps inside the grid ends.
     """
     if delta_e is None:
         delta_e = 1e-5 * energy
@@ -404,9 +402,8 @@ def quantum_jacobi_time(field_builder, spec: PotentialSpec, x_hat_target: float,
     grid = sample.grid
     if x_ref is None:
         x_ref = grid.x_min + 0.1 * (grid.x_max - grid.x_min)
-    if search_window is None:
-        search_window = (grid.x_min + 2 * grid.spacing,
-                         grid.x_max - 2 * grid.spacing)
+    search_window = (grid.x_min + 2 * grid.spacing,
+                     grid.x_max - 2 * grid.spacing)
 
     def locate(field):
         def g(xx):

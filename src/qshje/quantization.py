@@ -44,6 +44,9 @@ from .schrodinger import (
 
 _MODULE = "quantization"
 
+#: Largest share of J that the estimated truncated tails may carry.
+_TRUNCATION_TOL = 1e-4
+
 
 @dataclass
 class BoundStateRecord:
@@ -55,11 +58,6 @@ class BoundStateRecord:
     node_count_phys: int
     node_count_partner: int
     pair: SolutionPair
-
-    @property
-    def quantum_number(self) -> int:
-        """N with J = N h; equals the partner node count."""
-        return self.node_count_partner
 
 
 def _node_positions(values: np.ndarray, x: np.ndarray):
@@ -194,8 +192,7 @@ def bound_state(spec: PotentialSpec, grid: Grid, n: int,
                             pair=pair)
 
 
-def action_variable(pair: SolutionPair, params: MicrostateParams,
-                    truncation_tol: float = 1e-4) -> float:
+def action_variable(pair: SolutionPair, params: MicrostateParams) -> float:
     """J = closed integral of P dx = 2 * |S0(x_max) - S0(x_min)|, with an
     exponential-envelope estimate of the truncated tails.
 
@@ -220,9 +217,9 @@ def action_variable(pair: SolutionPair, params: MicrostateParams,
                 "grid end not in the forbidden region; widen the grid",
                 module=_MODULE, op="action_variable", x=float(x[idx]))
         tails += 2.0 * p_abs[idx] / (2.0 * math.sqrt(kappa_sq))
-    if tails > truncation_tol * j_main:
+    if tails > _TRUNCATION_TOL * j_main:
         raise GridNarrowError(
-            f"tail contribution {tails:.3e} above {truncation_tol:.1e} of J; "
+            f"tail contribution {tails:.3e} above {_TRUNCATION_TOL:.1e} of J; "
             "widen the grid", module=_MODULE, op="action_variable")
     return j_main + tails
 

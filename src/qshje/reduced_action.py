@@ -542,7 +542,7 @@ def probability_current(field: ReducedActionField, alpha, beta, x):
     return np.full(np.shape(x), (abs(alpha)**2 - abs(beta)**2) / field.units.mass)
 
 
-def field_to_csv(field: ReducedActionField, spec: PotentialSpec, path):
+def field_to_csv(field: ReducedActionField, path):
     """Write x, s0, p, v_b, f columns for a field."""
     x = field.x
     vb = bohm_quantum_potential(field, x)

@@ -42,6 +42,13 @@ _OVERFLOW_LIMIT = 1e250
 #: Illinois step of the search: halving a kept end sample, in log10 units.
 _LOG10_2 = math.log10(2.0)
 
+#: A bound level is closed once its bracket is no wider than
+#: max(_E_TOL, 1e-14 |E|).
+_E_TOL = 1e-12
+
+#: Largest relative Wronskian drift across the grid that a pair may show.
+_DRIFT_TOL = 1e-6
+
 #: Format used for all CSV output (round-trip safe).
 CSV_FLOAT_FORMAT = "%.17g"
 
@@ -97,6 +104,43 @@ class Grid:
         return int(round((x - self.x_min) / self.spacing))
 
 
+#: The least positive float: x < _TINY is x <= 0.
+_TINY = math.nextafter(0.0, 1.0)
+
+#: Per kind: V, V', V'' of (spec, x, units) and the domain (lo, hi, message)
+#: of x, or None (the tabulated one is set per instance). Each term is written
+#: once for a float and an array: a square is a product, as np.square computes
+#: it, and higher powers and sin/cos go through numpy, so both agree bit for bit.
+_KINDS = {
+    "free": (lambda s, x, u: 0.0,) * 3 + (None,),
+    "linear": (lambda s, x, u: s.slope * x, lambda s, x, u: s.slope,
+               lambda s, x, u: 0.0, None),
+    "harmonic": (lambda s, x, u: 0.5 * u.mass * s.omega**2 * (x * x),
+                 lambda s, x, u: u.mass * s.omega**2 * x,
+                 lambda s, x, u: u.mass * s.omega**2, None),
+    "tabulated": (lambda s, x, u: s._spline(x), lambda s, x, u: s._spline(x, 1),
+                  lambda s, x, u: s._spline(x, 2), None),
+    "radial_effective": (
+        lambda s, x, u: (s.inner.value(x, u)
+                         + s.lam * u.hbar**2 / (2.0 * u.mass * (x * x))),
+        lambda s, x, u: (s.inner.derivative(x, u)
+                         - s.lam * u.hbar**2 / (u.mass * np.power(x, 3))),
+        lambda s, x, u: (s.inner.second_derivative(x, u)
+                         + 3.0 * s.lam * u.hbar**2 / (u.mass * np.power(x, 4))),
+        (_TINY, math.inf, "radial potential requires r > 0")),
+    "polar_angle": (
+        lambda s, x, u: ((s.m_ell**2 - 0.25) * u.hbar**2
+                         / (2.0 * u.mass * np.square(np.sin(x)))),
+        lambda s, x, u: (-(s.m_ell**2 - 0.25) * u.hbar**2 * np.cos(x)
+                         / (u.mass * np.power(np.sin(x), 3))),
+        lambda s, x, u: ((s.m_ell**2 - 0.25) * u.hbar**2
+                         * (3.0 * np.square(np.cos(x)) + np.square(np.sin(x)))
+                         / (u.mass * np.power(np.sin(x), 4))),
+        (_TINY, math.nextafter(math.pi, 0.0),
+         "polar potential requires 0 < theta < pi")),
+}
+
+
 class PotentialSpec:
     """Analytic or tabulated potential V(x).
 
@@ -109,13 +153,16 @@ class PotentialSpec:
 
     def __init__(self, kind, *, slope=None, omega=None, xs=None, vs=None,
                  inner=None, lam=None, m_ell=None):
+        if kind not in _KINDS:
+            raise ParameterError(f"unknown potential kind {kind!r}",
+                                 module=_MODULE, op="PotentialSpec")
         self.kind = kind
+        *self._terms, self._domain = _KINDS[kind]
         self.slope = slope
         self.omega = omega
         self.inner = inner
         self.lam = lam
         self.m_ell = m_ell
-        self._spline = None
         if not all(math.isfinite(c) for c in (slope, omega, lam) if c is not None):
             raise ParameterError("potential constants must be finite",
                                  module=_MODULE, op="PotentialSpec")
@@ -138,6 +185,8 @@ class PotentialSpec:
             self.xs = xs[order]
             self.vs = vs[order]
             self._spline = CubicSpline(self.xs, self.vs)
+            self._domain = (self.xs[0] - 1e-12, self.xs[-1] + 1e-12,
+                            "x outside tabulated domain")
 
     # ---- constructors -------------------------------------------------
     @classmethod
@@ -176,88 +225,38 @@ class PotentialSpec:
         return cls("polar_angle", m_ell=int(m_ell))
 
     # ---- evaluation ---------------------------------------------------
+    def _eval(self, order, x, units):
+        """The kind's d^order V / dx^order at x: a float for a scalar x,
+        else an array of x's shape. Rejects x outside the kind's domain."""
+        scalar = isinstance(x, float) or np.ndim(x) == 0
+        x = float(x) if scalar else np.asarray(x, dtype=float)
+        if self._domain is not None:
+            lo, hi, message = self._domain
+            outside = (x < lo) | (x > hi)
+            if outside if scalar else outside.any():
+                raise DomainError(message, module=_MODULE, op="potential_value",
+                                  x=x if scalar else float(x[outside][0]))
+        out = self._terms[order](self, x, units)
+        if scalar:
+            return float(out)
+        return out if np.ndim(out) else np.full(x.shape, out)
+
     def value(self, x, units: UnitSystem = NATURAL_UNITS):
         """V(x); accepts scalars or arrays."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "free":
-            out = np.zeros_like(x)
-        elif self.kind == "linear":
-            out = self.slope * x
-        elif self.kind == "harmonic":
-            out = 0.5 * units.mass * self.omega**2 * x**2
-        elif self.kind == "tabulated":
-            if np.any(x < self.xs[0] - 1e-12) or np.any(x > self.xs[-1] + 1e-12):
-                raise DomainError("x outside tabulated domain",
-                                  module=_MODULE, op="potential_value",
-                                  x=float(np.atleast_1d(x).flat[0]))
-            out = self._spline(x)
-        elif self.kind == "radial_effective":
-            if np.any(x <= 0.0):
-                raise DomainError("radial potential requires r > 0",
-                                  module=_MODULE, op="potential_value",
-                                  x=float(np.min(x)))
-            out = self.inner.value(x, units) + \
-                self.lam * units.hbar**2 / (2.0 * units.mass * x**2)
-        elif self.kind == "polar_angle":
-            if np.any(x <= 0.0) or np.any(x >= np.pi):
-                raise DomainError("polar potential requires 0 < theta < pi",
-                                  module=_MODULE, op="potential_value",
-                                  x=float(np.min(x)))
-            out = (self.m_ell**2 - 0.25) * units.hbar**2 / \
-                (2.0 * units.mass * np.sin(x)**2)
-        else:
-            raise ParameterError(f"unknown potential kind {self.kind!r}",
-                                 module=_MODULE, op="potential_value")
-        return out if out.ndim else float(out)
+        return self._eval(0, x, units)
 
     def derivative(self, x, units: UnitSystem = NATURAL_UNITS):
         """dV/dx, analytic except for tabulated (spline derivative)."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "free":
-            out = np.zeros_like(x)
-        elif self.kind == "linear":
-            out = np.full_like(x, self.slope)
-        elif self.kind == "harmonic":
-            out = units.mass * self.omega**2 * x
-        elif self.kind == "tabulated":
-            out = self._spline(x, 1)
-        elif self.kind == "radial_effective":
-            out = self.inner.derivative(x, units) - \
-                self.lam * units.hbar**2 / (units.mass * x**3)
-        elif self.kind == "polar_angle":
-            out = -(self.m_ell**2 - 0.25) * units.hbar**2 * np.cos(x) / \
-                (units.mass * np.sin(x)**3)
-        else:
-            raise ParameterError(f"unknown potential kind {self.kind!r}",
-                                 module=_MODULE, op="potential_derivative")
-        return out if out.ndim else float(out)
+        return self._eval(1, x, units)
 
     def second_derivative(self, x, units: UnitSystem = NATURAL_UNITS):
-        x = np.asarray(x, dtype=float)
-        if self.kind in ("free", "linear"):
-            out = np.zeros_like(x)
-        elif self.kind == "harmonic":
-            out = np.full_like(x, units.mass * self.omega**2)
-        elif self.kind == "tabulated":
-            out = self._spline(x, 2)
-        elif self.kind == "radial_effective":
-            out = self.inner.second_derivative(x, units) + \
-                3.0 * self.lam * units.hbar**2 / (units.mass * x**4)
-        elif self.kind == "polar_angle":
-            s, c = np.sin(x), np.cos(x)
-            out = (self.m_ell**2 - 0.25) * units.hbar**2 * \
-                (3.0 * c**2 + s**2) / (units.mass * s**4)
-        else:
-            raise ParameterError(f"unknown potential kind {self.kind!r}",
-                                 module=_MODULE, op="potential_second_derivative")
-        return out if out.ndim else float(out)
+        return self._eval(2, x, units)
 
 
 def potential_samples(spec: PotentialSpec, x, units: UnitSystem = NATURAL_UNITS):
     """(V, V') at the points x as float arrays, the samples a SolutionPair
     carries."""
-    return (np.asarray(spec.value(x, units), dtype=float),
-            np.asarray(spec.derivative(x, units), dtype=float))
+    return spec.value(x, units), spec.derivative(x, units)
 
 
 @dataclass
@@ -296,11 +295,12 @@ class SolutionPair:
 # Numerov integration
 # ----------------------------------------------------------------------
 
-def _rk4_first_step(w_of_x, x0, h, y0, dy0, n_sub=8):
-    """High-order start value y(x0+h) for the Numerov recurrence."""
-    hh = h / n_sub
+def _rk4_first_step(w_of_x, x0, h, y0, dy0):
+    """High-order start value y(x0+h) for the Numerov recurrence: eight RK4
+    substeps."""
+    hh = h / 8
     x, y, dy = x0, y0, dy0
-    for _ in range(n_sub):
+    for _ in range(8):
         k1v, k1d = dy, w_of_x(x) * y
         k2v = dy + 0.5 * hh * k1d
         k2d = w_of_x(x + 0.5 * hh) * (y + 0.5 * hh * k1v)
@@ -376,18 +376,17 @@ def _numerov_sweep(ab, b, h, y0, y1, x0=0.0, renormalize=False):
         k_rescales += 1
 
 
-def _numerov_values(w, h, y0, y1, x0=0.0, renormalize=False):
+def _numerov_values(w, h, y0, y1, x0=0.0):
     """Run the Numerov recurrence for psi'' = w(x) psi over the array w.
 
-    One ``_numerov_sweep`` on fresh buffers. Returns the samples, or with
-    renormalize (samples, k), k being the number of 1e-200 rescales.
+    One ``_numerov_sweep`` on fresh buffers; returns the samples.
     """
     ab, b = _numerov_band(len(w))
     c = ab[2]
     np.multiply(w, h * h / 12.0, out=c)
     np.subtract(1.0, c, out=c)
-    k = _numerov_sweep(ab, b, h, y0, y1, x0=x0, renormalize=renormalize)
-    return (b[:, 0], k) if renormalize else b[:, 0]
+    _numerov_sweep(ab, b, h, y0, y1, x0=x0)
+    return b[:, 0]
 
 
 def _numerov_derivatives(y, w, h, dy0, w_ghost, y_ghost):
@@ -419,7 +418,7 @@ def integrate_schrodinger(spec: PotentialSpec, energy: float, grid: Grid,
     x = grid.points()
     h = grid.spacing
     coeff = 2.0 * units.mass / units.hbar**2
-    v = np.asarray(spec.value(x, units), dtype=float)
+    v = spec.value(x, units)
     if not np.all(np.isfinite(v)):
         raise NumericError("non-finite potential values on grid",
                            module=_MODULE, op="integrate_schrodinger")
@@ -452,19 +451,18 @@ def integrate_schrodinger(spec: PotentialSpec, energy: float, grid: Grid,
     return Solution(grid=grid, energy=energy, units=units, values=y, derivs=d)
 
 
-def _wronskian_gate(sol1: Solution, sol2: Solution, op: str,
-                    drift_tol: float = 1e-6) -> float:
+def _wronskian_gate(sol1: Solution, sol2: Solution, op: str) -> float:
     """Median Wronskian of two solutions; rejects dependent solutions and a
-    relative drift across the grid above drift_tol."""
+    relative drift across the grid above _DRIFT_TOL."""
     w_samples = sol1.values * sol2.derivs - sol1.derivs * sol2.values
     w_ref = float(np.median(w_samples))
     if w_ref == 0.0 or not np.isfinite(w_ref):
         raise ParameterError("solutions are dependent (zero Wronskian)",
                              module=_MODULE, op=op)
     drift = float(np.max(np.abs(w_samples - w_ref)) / abs(w_ref))
-    if drift > drift_tol:
+    if drift > _DRIFT_TOL:
         raise IntegrationQualityError(
-            f"Wronskian drift {drift:.3e} exceeds {drift_tol:.1e}; refine the grid",
+            f"Wronskian drift {drift:.3e} exceeds {_DRIFT_TOL:.1e}; refine the grid",
             module=_MODULE, op=op)
     return w_ref
 
@@ -494,13 +492,13 @@ def make_pair(spec: PotentialSpec, energy: float, grid: Grid,
                         sol1=s1, sol2=s2, wronskian=target_wronskian, v=v, dv=dv)
 
 
-def pair_from_solutions(sol1: Solution, sol2: Solution, spec: PotentialSpec,
-                        drift_tol: float = 1e-6) -> SolutionPair:
+def pair_from_solutions(sol1: Solution, sol2: Solution,
+                        spec: PotentialSpec) -> SolutionPair:
     """Assemble a SolutionPair from two existing solutions (same grid/E)."""
     if sol1.grid != sol2.grid or sol1.energy != sol2.energy:
         raise ParameterError("solutions must share grid and energy",
                              module=_MODULE, op="pair_from_solutions")
-    w_ref = _wronskian_gate(sol1, sol2, "pair_from_solutions", drift_tol)
+    w_ref = _wronskian_gate(sol1, sol2, "pair_from_solutions")
     v, dv = potential_samples(spec, sol1.grid.points(), sol1.units)
     return SolutionPair(grid=sol1.grid, energy=sol1.energy, units=sol1.units,
                         sol1=sol1, sol2=sol2, wronskian=w_ref, v=v, dv=dv)
@@ -587,7 +585,7 @@ def _end_log(y_end, k):
     return math.log10(abs(y_end)) + 200.0 * k if y_end else -math.inf
 
 
-def _close_level(shoot, history, n, e_tol):
+def _close_level(shoot, history, n):
     """Level n from the tightest bracket in history.
 
     Bisection on the node count runs until the two ends have opposite
@@ -602,7 +600,7 @@ def _close_level(shoot, history, n, e_tol):
     m_lo, m_hi = _end_log(y_lo, k_lo), _end_log(y_hi, k_hi)
     falsi, side = False, 0
     for _ in range(200):
-        tol = max(e_tol, 1e-14 * abs(e_hi))
+        tol = max(_E_TOL, 1e-14 * abs(e_hi))
         if e_hi - e_lo <= tol:
             break
         # bisect on the count until the ends straddle one sign change of
@@ -659,7 +657,7 @@ def _level_estimates(v, coeff, h, n_max):
 
 def find_bound_energies(spec: PotentialSpec, grid: Grid,
                         units: UnitSystem = NATURAL_UNITS,
-                        n_max: int = 1, e_tol: float = 1e-12) -> list[float]:
+                        n_max: int = 1) -> list[float]:
     """First n_max bound energies by a node-count bracket closed in by
     Illinois regula falsi on the end sample of the shooting solution.
 
@@ -669,7 +667,7 @@ def find_bound_energies(spec: PotentialSpec, grid: Grid,
     sign. Every sweep of a call is kept, so each level starts from the
     tightest bracket already seen and the window ends are swept once per
     call (``_close_level``). The level is the midpoint of its bracket once
-    that is no wider than max(e_tol, 1e-14 |E|).
+    that is no wider than max(1e-12, 1e-14 |E|) (``_E_TOL``).
 
     Before any level is closed, each is seeded with one sweep either side
     of its finite-difference estimate (``_level_estimates``), usually
@@ -687,7 +685,7 @@ def find_bound_energies(spec: PotentialSpec, grid: Grid,
                              op="find_bound_energies")
     x = grid.points()
     h = grid.spacing
-    v = np.asarray(spec.value(x, units), dtype=float)
+    v = spec.value(x, units)
     coeff = 2.0 * units.mass / units.hbar**2
     e_floor = float(np.min(v)) + 1e-12
     e_ceil = float(min(v[0], v[-1]))
@@ -720,7 +718,7 @@ def find_bound_energies(spec: PotentialSpec, grid: Grid,
         for e in (e_est - half, e_est + half):
             if e_floor < e < e_ceil:
                 shoot(e)
-    return [_close_level(shoot, history, n, e_tol) for n in range(n_max)]
+    return [_close_level(shoot, history, n) for n in range(n_max)]
 
 
 def physical_bound_solution(spec: PotentialSpec, energy: float, grid: Grid,
@@ -735,7 +733,7 @@ def physical_bound_solution(spec: PotentialSpec, energy: float, grid: Grid,
     the quantization module relies on."""
     x = grid.points()
     h = grid.spacing
-    v = np.asarray(spec.value(x, units), dtype=float)
+    v = spec.value(x, units)
     i_match = int(np.argmin(np.abs(v - energy)))
     i_match = min(max(i_match, 8), grid.n_points - 9)
     left_grid = Grid(grid.x_min, x[i_match], i_match + 1)

@@ -92,15 +92,6 @@ def polar_transform(t_values, theta_grid):
     return np.sqrt(np.sin(th)) * np.asarray(t_values, dtype=float)
 
 
-def radial_effective_potential(inner: PotentialSpec,
-                               qn: SphericalQuantumNumbers) -> PotentialSpec:
-    return PotentialSpec.radial_effective(inner, qn.lam)
-
-
-def polar_potential(qn: SphericalQuantumNumbers) -> PotentialSpec:
-    return PotentialSpec.polar_angle(qn.m_ell)
-
-
 def polar_energy(qn: SphericalQuantumNumbers,
                  units: UnitSystem = NATURAL_UNITS) -> float:
     return (qn.lam + 0.25) * units.hbar**2 / (2.0 * units.mass)
@@ -138,8 +129,8 @@ def make_radial_pair(inner: PotentialSpec, qn: SphericalQuantumNumbers,
     if grid.x_min <= 0.0:
         raise DomainError("radial grid must start at r > 0",
                           module=_MODULE, op="make_radial_pair", x=grid.x_min)
-    return make_pair(radial_effective_potential(inner, qn), energy, grid,
-                     units, target_wronskian)
+    return make_pair(PotentialSpec.radial_effective(inner, qn.lam), energy,
+                     grid, units, target_wronskian)
 
 
 def make_polar_pair(qn: SphericalQuantumNumbers, grid: Grid,
@@ -151,8 +142,8 @@ def make_polar_pair(qn: SphericalQuantumNumbers, grid: Grid,
     if grid.x_min <= 0.0 or grid.x_max >= math.pi:
         raise DomainError("polar grid must lie strictly inside (0, pi)",
                           module=_MODULE, op="make_polar_pair", x=grid.x_min)
-    return make_pair(polar_potential(qn), polar_energy(qn, units), grid,
-                     units, target_wronskian)
+    return make_pair(PotentialSpec.polar_angle(qn.m_ell),
+                     polar_energy(qn, units), grid, units, target_wronskian)
 
 
 class AzimuthalAction:
@@ -318,28 +309,30 @@ def build_triple(inner: PotentialSpec, qn: SphericalQuantumNumbers,
         e_theta = polar_energy(qn, units)
     else:
         e_theta = (polar_lam_override + 0.25) * units.hbar**2 / (2.0 * units.mass)
-    ppair = make_pair(polar_potential(qn), e_theta, theta_grid, units)
+    ppair = make_pair(PotentialSpec.polar_angle(qn.m_ell), e_theta, theta_grid,
+                      units)
     polar = build_field(ppair, polar_params)
     azim = AzimuthalAction(qn, azimuthal_params, units)
     return SphericalActionTriple(radial=radial, polar=polar, azimuthal=azim,
                                  qn=qn, inner=inner, energy=energy)
 
 
-def component_report(triple: SphericalActionTriple, n_samples: int = 64) -> str:
-    """JSON report: per-component residual maxima over interior windows."""
+def component_report(triple: SphericalActionTriple) -> str:
+    """JSON report: per-component residual maxima at 64 points of each
+    interior window."""
     rf, pf, az = triple.radial, triple.polar, triple.azimuthal
     units = triple.units
 
     r_lo, r_hi = rf.x[5], rf.x[-6]
-    rs = np.linspace(r_lo, r_hi, n_samples)
-    spec_r = radial_effective_potential(triple.inner, triple.qn)
+    rs = np.linspace(r_lo, r_hi, 64)
+    spec_r = PotentialSpec.radial_effective(triple.inner, triple.qn.lam)
     res_r = np.max(np.abs(qshje_residual(rf, spec_r, rs)))
 
     th_lo, th_hi = pf.x[5], pf.x[-6]
-    ths = np.linspace(th_lo, th_hi, n_samples)
+    ths = np.linspace(th_lo, th_hi, 64)
     res_th = np.max(np.abs(qshje_residual(pf, PotentialSpec.polar_angle(triple.qn.m_ell), ths)))
 
-    phis = np.linspace(0.05, 2.0 * math.pi - 0.05, n_samples)
+    phis = np.linspace(0.05, 2.0 * math.pi - 0.05, 64)
     res_ph = np.max(np.abs(az.qshje_residual(phis)))
 
     payload = {

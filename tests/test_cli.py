@@ -176,6 +176,19 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert payload["op"] == "find_bound_energies"
 
 
+def test_failed_acceptance_exits_3_naming_the_criteria(monkeypatch, capsys):
+    from qshje import acceptance
+
+    def forced_failure():
+        return acceptance.CriterionResult(index=7, name="forced failure",
+                                          passed=False, runtime_limit=10.0)
+    monkeypatch.setattr(acceptance, "CRITERIA", [forced_failure])
+    assert run(["accept"]) == 3
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["op"] == "accept"
+    assert "7 (forced failure)" in payload["message"]
+
+
 def test_sweep_hbar_trajectory(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run(["sweep", "--mode", "trajectory", "--potential", "free",

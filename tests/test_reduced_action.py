@@ -525,7 +525,7 @@ def test_probability_current_values(free_pair):
 def test_field_csv_export(tmp_path, harmonic_pair):
     field = build_field(harmonic_pair, MicrostateParams.from_floyd(1.0, 1.0, 0.0))
     path = tmp_path / "field.csv"
-    field_to_csv(field, PotentialSpec.harmonic(1.0), path)
+    field_to_csv(field, path)
     assert path.read_text().splitlines()[0] == "x,s0,p,v_b,f"
 
 

@@ -73,6 +73,37 @@ def test_potential_values_trivial():
     assert PotentialSpec.linear(2.0).value(1.5) == pytest.approx(3.0)
 
 
+def test_unknown_potential_kind_is_rejected_on_construction():
+    with pytest.raises(ParameterError):
+        PotentialSpec("bogus")
+
+
+_TABLE_X = np.linspace(-3.0, 3.0, 40)
+_KIND_CASES = {
+    "free": (PotentialSpec.free(), -2.9, 2.9),
+    "linear": (PotentialSpec.linear(1.3), -2.9, 2.9),
+    "harmonic": (PotentialSpec.harmonic(1.7), -2.9, 2.9),
+    "tabulated": (PotentialSpec.tabulated(_TABLE_X, np.cos(_TABLE_X) * _TABLE_X**2),
+                  -2.9, 2.9),
+    "radial_effective": (PotentialSpec.radial_effective(PotentialSpec.harmonic(0.9),
+                                                        2.0), 0.02, 2.9),
+    "polar_angle": (PotentialSpec.polar_angle(2), 0.02, 3.12),
+}
+
+
+@pytest.mark.parametrize("units", [UnitSystem(), UnitSystem(hbar=0.7, mass=1.3)],
+                         ids=["natural", "scaled"])
+@pytest.mark.parametrize("kind", sorted(_KIND_CASES))
+def test_potential_scalar_path_equals_array_path_bit_for_bit(kind, units):
+    spec, lo, hi = _KIND_CASES[kind]
+    xs = np.random.default_rng(7).uniform(lo, hi, 400)
+    for f in (spec.value, spec.derivative, spec.second_derivative):
+        scalar = np.array([f(float(x), units) for x in xs])
+        single = np.array([f(np.array([x]), units)[0] for x in xs])
+        assert all(isinstance(f(float(x), units), float) for x in xs[:3])
+        assert np.array_equal(scalar.view(np.uint64), single.view(np.uint64))
+
+
 def test_potential_domain_errors():
     radial = PotentialSpec.radial_effective(PotentialSpec.free(), 2.0)
     with pytest.raises(DomainError):
@@ -307,6 +338,17 @@ def test_harmonic_spectrum_on_wide_grid():
         assert np.max(np.abs(np.array(energies) - [0.5, 1.5, 2.5])) < 1e-6
 
 
+def _renormalized_sweep(w, h, y0, y1):
+    """A renormalizing ``_numerov_sweep`` on fresh ``_numerov_band`` buffers:
+    (samples, number of 1e-200 rescales)."""
+    ab, b = schrodinger._numerov_band(len(w))
+    c = ab[2]
+    np.multiply(w, h * h / 12.0, out=c)
+    np.subtract(1.0, c, out=c)
+    k = schrodinger._numerov_sweep(ab, b, h, y0, y1, renormalize=True)
+    return b[:, 0], k
+
+
 def test_rescale_count_carries_the_end_sample_magnitude():
     # the sweep is linear in its seed: seeds 1e-150 and 1e-300 times smaller
     # overflow later and rescale less often, yet y_N 10^(200 k) / seed agrees
@@ -315,7 +357,7 @@ def test_rescale_count_carries_the_end_sample_magnitude():
     w = 2.0 * (0.5 * grid.points()**2 - 1.0)
     logs, rescales = [], set()
     for seed in (1.0, 1e-150, 1e-300):
-        y, k = _numerov_values(w, h, 0.0, seed * h, renormalize=True)
+        y, k = _renormalized_sweep(w, h, 0.0, seed * h)
         logs.append(math.log10(abs(y[-1])) + 200.0 * k - math.log10(seed))
         rescales.add(k)
     assert len(rescales) > 1
@@ -331,7 +373,7 @@ def test_search_sweeps_reuse_buffers_exactly():
     shooting = schrodinger._Shooting(v, 2.0, h, *schrodinger._numerov_band(v.size))
     seen = []
     for e in (0.3, 1.0, 2.2, 0.3, 4.499, 1.0):
-        y, k = _numerov_values(2.0 * (v - e), h, 0.0, h, renormalize=True)
+        y, k = _renormalized_sweep(2.0 * (v - e), h, 0.0, h)
         got = schrodinger._shoot_nodes(shooting, e)
         assert got == (count_nodes(y[1:]), float(y[-1]), k)
         seen.append(k)
