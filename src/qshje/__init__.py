@@ -52,7 +52,6 @@ from .reduced_action import (
 from .dynamics import (
     QuantumLagrangianState,
     Trajectory,
-    TrajectorySample,
     closed_form_derivatives,
     dispersion_free_trajectory,
     f_function,

@@ -55,6 +55,7 @@ from .schrodinger import (
     analytic_free_pair,
     make_pair,
     pair_to_csv,
+    write_csv,
 )
 from .spherical import (
     SphericalQuantumNumbers,
@@ -101,6 +102,12 @@ def _number(args, name, kind=float, minimum=None):
 
 def _fmt(value: float) -> str:
     return CSV_FLOAT_FORMAT % value
+
+
+def _write_json(path, payload):
+    """The one JSON writer: two-space indent, sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +167,7 @@ def _build_units(args) -> UnitSystem:
     return UnitSystem(hbar=_number(args, "hbar"), mass=_number(args, "mass"))
 
 
-def _build_potential(args, units) -> PotentialSpec:
+def _build_potential(args) -> PotentialSpec:
     kind = args.potential
     if kind == "free":
         return PotentialSpec.free()
@@ -241,11 +248,15 @@ def _make_pair_for(args, spec, grid, units):
                      target_wronskian=1.0 if target is None else target)
 
 
+def _setting(args):
+    """Units, potential and grid of one scenario."""
+    units = _build_units(args)
+    return units, _build_potential(args), _build_grid(args.grid, "grid")
+
+
 def _scenario(args):
     """Potential, pair and reduced-action field of one scenario."""
-    units = _build_units(args)
-    spec = _build_potential(args, units)
-    grid = _build_grid(args.grid, "grid")
+    units, spec, grid = _setting(args)
     params = _build_params(args)
     pair = _make_pair_for(args, spec, grid, units)
     return spec, pair, build_field(pair, params)
@@ -256,11 +267,8 @@ def _scenario(args):
 # ----------------------------------------------------------------------
 
 def _cmd_pair(args) -> int:
-    units = _build_units(args)
-    spec = _build_potential(args, units)
-    grid = _build_grid(args.grid, "grid")
-    pair = _make_pair_for(args, spec, grid, units)
-    pair_to_csv(pair, args.output)
+    units, spec, grid = _setting(args)
+    pair_to_csv(_make_pair_for(args, spec, grid, units), args.output)
     return 0
 
 
@@ -302,27 +310,18 @@ def _cmd_trajectory(args) -> int:
 
 
 def _cmd_quantize(args) -> int:
-    units = _build_units(args)
-    spec = _build_potential(args, units)
-    grid = _build_grid(args.grid, "grid")
+    units, spec, grid = _setting(args)
     state = _number(args, "state", int, 0)
     record = bound_state(spec, grid, state, units)
-    params_list = enumerate_microstates(record,
-                                        _number(args, "microstates", int, 1))
-    payload = []
-    for params in params_list:
-        payload.append(json.loads(quantization_report(record, params, state)))
-    text = json.dumps(payload if len(payload) > 1 else payload[0],
-                      indent=2, sort_keys=True)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    payload = [quantization_report(record, params, state) for params in
+               enumerate_microstates(record, _number(args, "microstates", int, 1))]
+    _write_json(args.output, payload if len(payload) > 1 else payload[0])
     return 0
 
 
 def _cmd_spherical(args) -> int:
     units = _build_units(args)
-    inner = PotentialSpec.free() if args.potential == "free" \
-        else _build_potential(args, units)
+    inner = _build_potential(args)
     qn = SphericalQuantumNumbers(_number(args, "ell", int),
                                  _number(args, "m_ell", int))
     r_grid = _build_grid(args.r_window, "r_window")
@@ -330,7 +329,7 @@ def _cmd_spherical(args) -> int:
     params = _build_params(args)
     triple = build_triple(inner, qn, _number(args, "energy"), r_grid, th_grid,
                           params, params, params, units)
-    report = json.loads(component_report(triple))
+    report = component_report(triple)
     rr = np.linspace(r_grid.x_min + 10 * r_grid.spacing,
                      r_grid.x_max - 10 * r_grid.spacing, 8)
     tt = np.linspace(th_grid.x_min + 10 * th_grid.spacing,
@@ -339,8 +338,7 @@ def _cmd_spherical(args) -> int:
     grids = np.meshgrid(rr, tt, pp, indexing="ij")
     res = total_qshje_residual(triple, *grids)
     report["total_residual_max"] = float(np.max(np.abs(res)))
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json(args.output, report)
     return 0
 
 
@@ -358,9 +356,8 @@ def _cmd_compare_floyd(args) -> int:
     t_floyd = floyd_free_trajectory(energy, params.a, params.b, params.c,
                                     xs, units)
     t_classical = np.sqrt(units.mass / (2.0 * energy)) * xs
-    data = np.column_stack([xs, t_dispersion, t_floyd, t_classical])
-    np.savetxt(args.output, data, delimiter=",", fmt=CSV_FLOAT_FORMAT,
-               header="x,t_dispersion,t_floyd,t_classical", comments="")
+    write_csv(args.output, "x,t_dispersion,t_floyd,t_classical",
+              xs, t_dispersion, t_floyd, t_classical)
     return 0
 
 
@@ -374,7 +371,7 @@ def _cmd_residuals(args) -> int:
     norm = max(abs(field.energy), 1.0)
     i_mid = pair.grid.n_points // 2
     mod = modified_potential_residual(field, spec, field.x[i_mid])
-    payload = {
+    _write_json(args.output, {
         "energy": field.energy,
         "qshje_residual_max_abs": float(np.max(np.abs(q))),
         "qshje_residual_max_rel": float(np.max(np.abs(q)) / norm),
@@ -383,9 +380,7 @@ def _cmd_residuals(args) -> int:
         "modified_potential_residual_mid_rel": float(abs(mod) / norm),
         "wronskian_drift_rel": float(np.max(np.abs(
             pair.wronskian_samples() - pair.wronskian)) / abs(pair.wronskian)),
-    }
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    })
     return 0
 
 
@@ -437,9 +432,7 @@ def _cmd_sweep(args) -> int:
             rows = [(traj.t[i], traj.x[i], traj.xdot[i], dev[i], np.max(dev))
                     for i in range(traj.t.size)]
         else:
-            units = _build_units(one)
-            spec = _build_potential(one, units)
-            grid = _build_grid(one.grid, "grid")
+            units, spec, grid = _setting(one)
             params = _build_params(one)
             record = bound_state(spec, grid, _number(one, "state", int, 0), units)
             j = action_variable(record.pair, params)
@@ -477,6 +470,13 @@ def _add_common(sub):
     sub.add_argument("-o", "--output", default=None, required=False)
 
 
+def _add_trajectory(sub):
+    sub.add_argument("--x0", default=0.0)
+    sub.add_argument("--t", default="0:10")
+    sub.add_argument("--tol", default=1e-11)
+    sub.add_argument("--samples", default=200)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qshje",
                                      description="Deterministic quantum "
@@ -493,10 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_traj = subs.add_parser("trajectory", help="integrate a quantum trajectory")
     _add_common(p_traj)
-    p_traj.add_argument("--x0", default=0.0)
-    p_traj.add_argument("--t", default="0:10")
-    p_traj.add_argument("--tol", default=1e-11)
-    p_traj.add_argument("--samples", default=200)
+    _add_trajectory(p_traj)
 
     p_q = subs.add_parser("quantize", help="action-variable quantization report")
     _add_common(p_q)
@@ -526,10 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["trajectory", "quantize"])
     p_w.add_argument("--hbar-list", default=None, dest="hbar_list")
     p_w.add_argument("--params-list", default=None, dest="params_list")
-    p_w.add_argument("--x0", default=0.0)
-    p_w.add_argument("--t", default="0:10")
-    p_w.add_argument("--tol", default=1e-11)
-    p_w.add_argument("--samples", default=200)
+    _add_trajectory(p_w)
     p_w.add_argument("--state", default=0)
 
     return parser

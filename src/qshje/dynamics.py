@@ -26,7 +26,7 @@ from .errors import (
     SingularityError,
 )
 from .reduced_action import ReducedActionField, continuous_arctan_tan
-from .schrodinger import CSV_FLOAT_FORMAT, NATURAL_UNITS, PotentialSpec, UnitSystem
+from .schrodinger import NATURAL_UNITS, PotentialSpec, UnitSystem, write_csv
 
 _MODULE = "dynamics"
 
@@ -36,13 +36,6 @@ TURNING_POINT_TOL = 1e-12
 #: Absolute and relative tolerance of the time-of-flight and
 #: quantum-coordinate quadratures.
 _QUAD_TOL = 1e-11
-
-
-@dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    x: float
-    xdot: float
 
 
 @dataclass(frozen=True)
@@ -70,10 +63,6 @@ class Trajectory:
     sol: object  # scipy OdeSolution (dense output)
     field: ReducedActionField
     spec: PotentialSpec
-
-    def samples(self) -> list[TrajectorySample]:
-        return [TrajectorySample(float(t), float(x), float(v))
-                for t, x, v in zip(self.t, self.x, self.xdot)]
 
 
 def f_function(field: ReducedActionField, spec: PotentialSpec, x):
@@ -385,23 +374,23 @@ def quantum_coordinate(field: ReducedActionField, spec: PotentialSpec,
 
 
 def quantum_jacobi_time(field_builder, spec: PotentialSpec, x_hat_target: float,
-                        energy: float, delta_e: float = None,
-                        x_ref: float = None) -> float:
+                        energy: float, x_ref: float,
+                        delta_e: float = None) -> float:
     """Arrival time from the quantum Jacobi theorem: the E-derivative of
     S0 at fixed quantum coordinate, by centered differencing over fields
     built at E +- delta_e with the same microstate parameters.
 
     field_builder(E) must return a ReducedActionField with consistent
-    parameters and conventions; S0 is measured from x_ref (the origin of
-    the quantum coordinate), which fixes the common time-origin convention.
-    The arrival point is searched for two grid steps inside the grid ends.
+    parameters, conventions and grid; it is called twice, at E +- delta_e.
+    S0 is measured from x_ref (the origin of the quantum coordinate), which
+    fixes the common time-origin convention. The arrival point is searched
+    for two grid steps inside the grid ends.
     """
     if delta_e is None:
         delta_e = 1e-5 * energy
-    sample = field_builder(energy)
-    grid = sample.grid
-    if x_ref is None:
-        x_ref = grid.x_min + 0.1 * (grid.x_max - grid.x_min)
+    f_plus = field_builder(energy + delta_e)
+    f_minus = field_builder(energy - delta_e)
+    grid = f_plus.grid
     search_window = (grid.x_min + 2 * grid.spacing,
                      grid.x_max - 2 * grid.spacing)
 
@@ -416,8 +405,6 @@ def quantum_jacobi_time(field_builder, spec: PotentialSpec, x_hat_target: float,
                 module=_MODULE, op="quantum_jacobi_time")
         return brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16)
 
-    f_plus = field_builder(energy + delta_e)
-    f_minus = field_builder(energy - delta_e)
     x_plus = locate(f_plus)
     x_minus = locate(f_minus)
     s_plus = f_plus.s0_at(x_plus) - f_plus.s0_at(x_ref)
@@ -450,7 +437,5 @@ def trajectory_to_csv(traj: Trajectory, path):
     rel = fiqnl_residual(spec, field.energy, traj.x,
                          *_flow_derivatives(field, spec, traj.x),
                          field.units) / field.energy**4
-    data = np.column_stack([traj.t, traj.x, traj.xdot, p, f,
-                            hq - field.energy, rel])
-    np.savetxt(path, data, delimiter=",", fmt=CSV_FLOAT_FORMAT,
-               header="t,x,xdot,p,f,hq_minus_e,fiqnl_residual_rel", comments="")
+    write_csv(path, "t,x,xdot,p,f,hq_minus_e,fiqnl_residual_rel",
+              traj.t, traj.x, traj.xdot, p, f, hq - field.energy, rel)

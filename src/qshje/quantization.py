@@ -224,10 +224,10 @@ def action_variable(pair: SolutionPair, params: MicrostateParams) -> float:
     return j_main + tails
 
 
-def enumerate_microstates(record: BoundStateRecord, count: int,
-                          scale: float = 1.0) -> list[MicrostateParams]:
+def enumerate_microstates(record: BoundStateRecord,
+                          count: int) -> list[MicrostateParams]:
     """Distinct (a, b, c) triples in the bound-state family
-    a - c^2/(4b) = scale (b > 0 and c free), each reconstructing the same
+    a - c^2/(4b) = 1 (b > 0 and c free), each reconstructing the same
     physical wave function while generating distinct momenta."""
     if count < 1:
         raise ParameterError("count must be >= 1",
@@ -239,7 +239,7 @@ def enumerate_microstates(record: BoundStateRecord, count: int,
     while len(out) < count:
         b = b_ladder[i % len(b_ladder)] * (1.0 + i // len(b_ladder))
         c = c_ladder[i % len(c_ladder)]
-        a = c**2 / (4.0 * b) + scale
+        a = c**2 / (4.0 * b) + 1.0
         out.append(MicrostateParams.from_floyd(a, b, c))
         i += 1
     return out
@@ -313,11 +313,11 @@ def params_from_wave_coefficients(alpha, beta) -> MicrostateParams:
 
 
 def quantization_report(record: BoundStateRecord, params: MicrostateParams,
-                        state_index: int) -> str:
-    """JSON report for one quantized state."""
+                        state_index: int) -> dict:
+    """Report for one quantized state, as a JSON-ready dict."""
     j = action_variable(record.pair, params)
     h_planck = 2.0 * math.pi * record.pair.units.hbar
-    payload = {
+    return {
         "state_index": state_index,
         "energy": record.energy,
         "J_over_h": j / h_planck,
@@ -325,4 +325,3 @@ def quantization_report(record: BoundStateRecord, params: MicrostateParams,
         "node_partner": record.node_count_partner,
         "params": json.loads(params.to_json()),
     }
-    return json.dumps(payload, indent=2, sort_keys=True)

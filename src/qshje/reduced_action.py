@@ -37,11 +37,11 @@ from .errors import (
     SingularityError,
 )
 from .schrodinger import (
-    CSV_FLOAT_FORMAT,
     Grid,
     PotentialSpec,
     SolutionPair,
     UnitSystem,
+    write_csv,
 )
 
 _MODULE = "reduced_action"
@@ -334,20 +334,18 @@ def build_field(pair: SolutionPair, params: MicrostateParams) -> ReducedActionFi
     return ReducedActionField(pair, params)
 
 
-def floyd_momentum(pair: SolutionPair, params: MicrostateParams, x,
-                   wronskian_sign: int = 1):
+def floyd_momentum(pair: SolutionPair, params: MicrostateParams, x):
     """Floyd's momentum sqrt(2m)/(a*phi^2 + b*theta^2 + c*phi*theta).
 
     Requires the pair normalized to Floyd's Wronskian convention
-    |W| = sqrt(2m)/(hbar*sqrt(ab - c^2/4)); the +- sign of the convention
-    is caller-chosen through wronskian_sign.
+    theta1*theta2' - theta1'*theta2 = -sqrt(2m)/(hbar*sqrt(ab - c^2/4)).
     """
     if params.form != "floyd":
         raise ParameterError("floyd_momentum requires floyd-form params",
                              module=_MODULE, op="floyd_momentum")
     units = pair.units
     s = params.floyd_s
-    required = -wronskian_sign * math.sqrt(2.0 * units.mass) / (units.hbar * s)
+    required = -math.sqrt(2.0 * units.mass) / (units.hbar * s)
     if abs(pair.wronskian - required) > 1e-6 * abs(required):
         raise NormalizationError(
             f"pair Wronskian {pair.wronskian:.12g} does not match Floyd "
@@ -549,6 +547,4 @@ def field_to_csv(field: ReducedActionField, path):
     denom = 2.0 * field.units.mass * (field.energy - field.v)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.where(np.abs(denom) > 0.0, field.p**2 / denom, np.inf)
-    data = np.column_stack([x, field.s0, field.p, vb, f])
-    np.savetxt(path, data, delimiter=",", fmt=CSV_FLOAT_FORMAT,
-               header="x,s0,p,v_b,f", comments="")
+    write_csv(path, "x,s0,p,v_b,f", x, field.s0, field.p, vb, f)

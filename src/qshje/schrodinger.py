@@ -49,9 +49,6 @@ _E_TOL = 1e-12
 #: Largest relative Wronskian drift across the grid that a pair may show.
 _DRIFT_TOL = 1e-6
 
-#: Format used for all CSV output (round-trip safe).
-CSV_FLOAT_FORMAT = "%.17g"
-
 
 @dataclass(frozen=True)
 class UnitSystem:
@@ -769,10 +766,19 @@ def physical_bound_solution(spec: PotentialSpec, energy: float, grid: Grid,
 # CSV export
 # ----------------------------------------------------------------------
 
+#: Format used for all CSV output (round-trip safe).
+CSV_FLOAT_FORMAT = "%.17g"
+
+
+def write_csv(path, header, *columns):
+    """Write equal-length columns under a comma-separated header, each float
+    in CSV_FLOAT_FORMAT; the one CSV writer of the package."""
+    np.savetxt(path, np.column_stack(columns), delimiter=",",
+               fmt=CSV_FLOAT_FORMAT, header=header, comments="")
+
+
 def pair_to_csv(pair: SolutionPair, path):
     """Write a solution pair with header x,theta1,dtheta1,theta2,dtheta2."""
-    x = pair.grid.points()
-    data = np.column_stack([x, pair.sol1.values, pair.sol1.derivs,
-                            pair.sol2.values, pair.sol2.derivs])
-    np.savetxt(path, data, delimiter=",", fmt=CSV_FLOAT_FORMAT,
-               header="x,theta1,dtheta1,theta2,dtheta2", comments="")
+    write_csv(path, "x,theta1,dtheta1,theta2,dtheta2", pair.grid.points(),
+              pair.sol1.values, pair.sol1.derivs,
+              pair.sol2.values, pair.sol2.derivs)

@@ -17,7 +17,6 @@ polar transform.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -317,9 +316,9 @@ def build_triple(inner: PotentialSpec, qn: SphericalQuantumNumbers,
                                  qn=qn, inner=inner, energy=energy)
 
 
-def component_report(triple: SphericalActionTriple) -> str:
-    """JSON report: per-component residual maxima at 64 points of each
-    interior window."""
+def component_report(triple: SphericalActionTriple) -> dict:
+    """Per-component residual maxima at 64 points of each interior window,
+    as a JSON-ready dict."""
     rf, pf, az = triple.radial, triple.polar, triple.azimuthal
     units = triple.units
 
@@ -335,7 +334,7 @@ def component_report(triple: SphericalActionTriple) -> str:
     phis = np.linspace(0.05, 2.0 * math.pi - 0.05, 64)
     res_ph = np.max(np.abs(az.qshje_residual(phis)))
 
-    payload = {
+    return {
         "ell": triple.qn.ell,
         "m_ell": triple.qn.m_ell,
         "energy": triple.energy,
@@ -345,5 +344,4 @@ def component_report(triple: SphericalActionTriple) -> str:
         "polar_residual_max": float(res_th),
         "azimuthal_residual_max": float(res_ph),
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
 

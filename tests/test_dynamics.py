@@ -405,6 +405,21 @@ def test_quantum_jacobi_richardson_order():
     assert d2 < d1 / 2.0   # centered differencing: successive gaps shrink >= 2x
 
 
+def test_quantum_jacobi_builds_two_fields():
+    grid = Grid(-2.0, 8.0, 4001)
+    params = MicrostateParams.from_floyd(2.0, 1.0, 0.5)
+    energies = []
+
+    def builder(e):
+        energies.append(e)
+        return build_field(analytic_free_pair(e, grid), params)
+
+    xh = quantum_coordinate(builder(E), SPEC_FREE, 0.1, 2.7)
+    energies.clear()
+    quantum_jacobi_time(builder, SPEC_FREE, xh, E, x_ref=0.1, delta_e=1e-3)
+    assert energies == [E + 1e-3, E - 1e-3]
+
+
 def test_quantum_jacobi_unbracketed_target(quantum_free_field):
     def builder(e):
         return quantum_free_field if e == E else build_field(

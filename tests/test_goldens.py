@@ -9,9 +9,10 @@ larger for the rounding-level residual columns, whose values are relative
 to O(1) energies. Bytes need not match across numpy versions, so each
 bound stands well above the largest change that moving --energy (--omega
 for quantize) by one ulp brings to its columns, measured on numpy 2.4:
-3.2e-7 for the trajectory columns (f of the linear trajectory, which
-passes near a turning point), 4.8e-9 for the residuals (the
-modified-potential residual) and 1.1e-14 for every other column.
+3.2e-7 for the columns of a trajectory (f of the linear one; on these
+coarse fields the integrator's error runs far above its tol), 4.8e-9 for
+the residuals (the modified-potential residual) and 1.1e-14 for every
+other column.
 
     PYTHONPATH=src python tests/test_goldens.py               # comparer report
     PYTHONPATH=src python tests/test_goldens.py --regenerate  # rewrite goldens
@@ -91,8 +92,8 @@ RTOL = 1e-10
 
 #: Rounding-level residual columns and keys: their scale is at least 1.
 RESIDUALS = {
-    "hq_minus_e", "fiqnl_residual_rel", "abs_dev_from_classical", "max_dev",
-    "qshje_residual_max_abs", "qshje_residual_max_rel", "bohm_routes_gap_max",
+    "hq_minus_e", "fiqnl_residual_rel", "qshje_residual_max_abs",
+    "qshje_residual_max_rel", "bohm_routes_gap_max",
     "modified_potential_residual_mid_abs", "modified_potential_residual_mid_rel",
     "wronskian_drift_rel", "radial_residual_max", "polar_residual_max",
     "azimuthal_residual_max", "total_residual_max",
@@ -204,11 +205,6 @@ def test_artifact_matches_golden(name, tmp_path):
     report = compare(os.path.join(GOLDEN_DIR, name), new)
     over = {c: w for c, (w, bound) in report.items() if w > bound}
     assert not over, f"{name}: columns beyond their bound: {over}"
-
-
-def test_goldens_are_small():
-    total = sum(os.path.getsize(os.path.join(GOLDEN_DIR, n)) for n in CASES)
-    assert total < 200_000
 
 
 if __name__ == "__main__":

@@ -152,9 +152,9 @@ def test_action_variable_narrow_grid_rejected():
 
 def test_quantization_report_json(records):
     import json
-    text = quantization_report(records[0], MicrostateParams.from_floyd(
+    payload = quantization_report(records[0], MicrostateParams.from_floyd(
         1.0, 1.0, 0.0), 0)
-    payload = json.loads(text)
+    assert json.loads(json.dumps(payload)) == payload
     assert payload["node_partner"] == 1
     assert abs(payload["J_over_h"] - 1.0) < 1e-3
     assert payload["params"]["form"] == "floyd"

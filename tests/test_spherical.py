@@ -311,7 +311,8 @@ def test_lambda_mismatch_detector():
 
 def test_component_report_json(free_triple):
     import json
-    payload = json.loads(component_report(free_triple))
+    payload = component_report(free_triple)
+    assert json.loads(json.dumps(payload)) == payload
     assert payload["radial_residual_max"] < 1e-5
     assert payload["polar_residual_max"] < 1e-4
     assert payload["azimuthal_residual_max"] < 1e-10
