@@ -255,11 +255,10 @@ def _setting(args):
 
 
 def _scenario(args):
-    """Potential, pair and reduced-action field of one scenario."""
+    """Reduced-action field of one scenario; its pair carries the potential."""
     units, spec, grid = _setting(args)
     params = _build_params(args)
-    pair = _make_pair_for(args, spec, grid, units)
-    return spec, pair, build_field(pair, params)
+    return build_field(_make_pair_for(args, spec, grid, units), params)
 
 
 # ----------------------------------------------------------------------
@@ -273,8 +272,7 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_action(args) -> int:
-    field = _scenario(args)[2]
-    field_to_csv(field, args.output)
+    field_to_csv(_scenario(args), args.output)
     return 0
 
 
@@ -293,8 +291,8 @@ def _integrate(args):
     span = _parse_span(args.t, "t")
     x0, tol = _number(args, "x0"), _number(args, "tol")
     n_samples = _number(args, "samples", int, 1)
-    spec, _, field = _scenario(args)
-    return integrate_trajectory(field, spec, x0, span, tol=tol,
+    field = _scenario(args)
+    return integrate_trajectory(field, field.pair.spec, x0, span, tol=tol,
                                 n_samples=n_samples)
 
 
@@ -362,7 +360,8 @@ def _cmd_compare_floyd(args) -> int:
 
 
 def _cmd_residuals(args) -> int:
-    spec, pair, field = _scenario(args)
+    field = _scenario(args)
+    spec, pair = field.pair.spec, field.pair
     margin = 5
     xs = field.x[margin:-margin]
     q = qshje_residual(field, spec, xs)

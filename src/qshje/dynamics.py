@@ -114,7 +114,7 @@ def integrate_trajectory(field: ReducedActionField, spec: PotentialSpec,
     live = [field, spec]
 
     # the state is one coordinate: the callbacks evaluate it as a Python
-    # float, which takes the field's scalar table branch, and rhs returns a
+    # float, which takes the field's scalar branch, and rhs returns a
     # one-element list, sparing a numpy round trip on each of the ~10^3 calls
     def rhs(t, y):
         return [velocity(*live, float(y[0]))]
@@ -337,7 +337,7 @@ def _flow_derivatives(field: ReducedActionField, spec: PotentialSpec, x):
     spec); nothing is differenced.
     """
     units = field.units
-    p, dp, d2p = field.p_at(x), field.dp_at(x), field.d2p_at(x)
+    p, dp, d2p = field.ladder_at(x)
     u = 2.0 * (field.energy - spec.value(x, units)) / p
     du = -(2.0 * spec.derivative(x, units) + u * dp) / p
     d2u = -(2.0 * spec.second_derivative(x, units) + 2.0 * du * dp + u * d2p) / p

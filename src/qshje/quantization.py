@@ -39,7 +39,6 @@ from .schrodinger import (
     count_nodes,
     find_bound_energies,
     physical_bound_solution,
-    potential_samples,
 )
 
 _MODULE = "quantization"
@@ -184,9 +183,8 @@ def bound_state(spec: PotentialSpec, grid: Grid, n: int,
     # Floyd denominator a*sol2^2 + b*sol1^2 + c*sol1*sol2 = a phi^2 + b theta^2 + ...
     w = float(np.median(partner.values * phys.derivs
                         - partner.derivs * phys.values))
-    v, dv = potential_samples(spec, grid.points(), units)
     pair = SolutionPair(grid=grid, energy=energy, units=units,
-                        sol1=partner, sol2=phys, wronskian=w, v=v, dv=dv)
+                        sol1=partner, sol2=phys, wronskian=w, spec=spec)
     return BoundStateRecord(energy=energy, physical=phys, partner=partner,
                             node_count_phys=n_phys, node_count_partner=n_part,
                             pair=pair)

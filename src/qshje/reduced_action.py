@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -129,14 +130,16 @@ def _momentum_ladder(hbar, w, g1, g2, dg1, dg2, gddg):
     """P = hbar w/D with D = g1^2 + g2^2, and its first two derivatives.
 
     w is the Wronskian g1 g2' - g1' g2 and gddg is g1 g1'' + g2 g2'', so
-    D' = 2 (g1 g1' + g2 g2') and D'' = 2 (g1'^2 + g2'^2) + 2 gddg.
+    D' = 2 (g1 g1' + g2 g2') and D'' = 2 (g1'^2 + g2'^2) + 2 gddg. Squares
+    are products, so a float and an array give the same bits.
     """
-    den = g1**2 + g2**2
+    den = g1 * g1 + g2 * g2
     p = hbar * w / den
     dden = 2.0 * (g1 * dg1 + g2 * dg2)
-    d2den = 2.0 * (dg1**2 + dg2**2) + 2.0 * gddg
+    d2den = 2.0 * (dg1 * dg1 + dg2 * dg2) + 2.0 * gddg
     dp = -p * dden / den
-    d2p = p * (2.0 * (dden / den)**2 - d2den / den)
+    q = dden / den
+    d2p = p * (2.0 * (q * q) - d2den / den)
     return p, dp, d2p
 
 
@@ -145,14 +148,6 @@ def _principal_angle(g1, g2) -> float:
     if g1 != 0.0:
         return math.atan(g2 / g1)
     return math.copysign(math.pi / 2.0, g2)
-
-
-def _unwrapped_angle(g1, g2):
-    """Branch-unwrapped arctan(g2/g1) over an array, anchored so its first
-    sample is the principal value."""
-    angle = np.unwrap(np.arctan2(g2, g1))
-    principal = _principal_angle(g1[0], g2[0])
-    return angle - round((angle[0] - principal) / math.pi) * math.pi
 
 
 def continuous_arctan_tan(u, a, b):
@@ -190,46 +185,34 @@ def combine_pair(pair: SolutionPair, params: MicrostateParams):
     return phi1, phi2, dphi1, dphi2, w_combo
 
 
-def _hermite_table(x_min: float, h: float, f, df):
-    """Evaluator of the piecewise cubic Hermite interpolant of the samples f
-    and slopes df on the uniform grid x_min + i h.
+#: One cell of the quintic Hermite: phi1, phi2, h phi1', h phi2', h^2 phi1''/2,
+#: h^2 phi2''/2 at its left node, then the same at its right node (48 bytes a node).
+_CELL = struct.Struct("12d")
 
-    x falls in cell i = floor((x - x_min)/h), clamped to [0, n - 2] so the
-    end cubics extrapolate, and the cell's cubic in t = (x - x_min)/h - i is
-    summed by Horner. A Python float takes a scalar branch that indexes
-    zero-copy memoryview rows of the coefficient table (a numpy round trip
-    per call would cost more than the arithmetic); anything else takes the
-    numpy branch of the same formula, so the two agree bit for bit.
-    """
-    delta = f[1:] - f[:-1]
-    s_lo, s_hi = h * df[:-1], h * df[1:]
-    coeffs = np.array([f[:-1], s_lo, 3.0 * delta - 2.0 * s_lo - s_hi,
-                       s_lo + s_hi - 2.0 * delta])
-    c0, c1, c2, c3 = (memoryview(row) for row in coeffs)
-    last = f.size - 2
 
-    def evaluate(x):
-        if isinstance(x, float):
-            u = (x - x_min) / h
-            i = last if u >= last else int(u) if u > 0.0 else 0
-            t = u - i
-            return c0[i] + t * (c1[i] + t * (c2[i] + t * c3[i]))
-        u = (np.asarray(x, dtype=float) - x_min) / h
-        i = np.minimum(np.floor(np.where(u > 0.0, u, 0.0)), last).astype(np.intp)
-        t = u - i
-        a0, a1, a2, a3 = coeffs[:, i]
-        return a0 + t * (a1 + t * (a2 + t * a3))
-    return evaluate
+def _quintic_weights(t, s, slopes):
+    """Quintic Hermite basis at t cells from the left node and s = 1 - t from
+    the right one: the weights of the left and right values, h-slopes and
+    h^2-seconds/2, in that order; with slopes, of h d/dx. Products only, so a
+    float and an array give the same bits."""
+    t2, s2 = t * t, s * s
+    if slopes:
+        w = 30.0 * t2 * s2
+        return (-w, w, s2 * (1.0 + 2.0 * t - 15.0 * t2), t2 * (1.0 + 2.0 * s - 15.0 * s2),
+                t * s2 * (2.0 - 5.0 * t), -t2 * s * (2.0 - 5.0 * s))
+    tt, ss, t3, s3 = 1.0 + 3.0 * t, 1.0 + 3.0 * s, t2 * t, s2 * s
+    return (s3 * (tt + 6.0 * t2), t3 * (ss + 6.0 * s2), t * s3 * tt, -s * t3 * ss,
+            t2 * s3, t3 * s2)
 
 
 class ReducedActionField:
     """Continuous reduced action S0, conjugate momentum P and derived data
-    on the pair's grid, with cubic-Hermite evaluation between grid points.
+    on the pair's grid, evaluated between nodes from the pair itself.
 
-    P and its derivatives come from the closed quotient formula with
-    phi'' = (2m/hbar^2)(V - E) phi, never from differencing S0. Each of
-    s0_at, p_at, dp_at and d2p_at interpolates its samples with the next
-    rung of that ladder as the slope; each table is built on first use.
+    Each combination g = phi1, phi2 is one piecewise quintic Hermite of its
+    node values, slopes and g'' = k g, k = (2m/hbar^2)(V - E). Then
+    P = hbar w/(g1^2 + g2^2), and S0 is the nearest node's S0 plus the angle
+    (g1, g2) turns through from that node; a node returns its own S0 and P.
     """
 
     def __init__(self, pair: SolutionPair, params: MicrostateParams):
@@ -240,23 +223,20 @@ class ReducedActionField:
         self.units: UnitSystem = pair.units
         self.x = pair.grid.points()
         hbar = pair.units.hbar
-        m = pair.units.mass
 
-        phi1, phi2, dphi1, dphi2, w_combo = combine_pair(pair, params)
+        phi1, phi2, self.dphi1, self.dphi2, self.w_combo = combine_pair(pair, params)
         self.phi1, self.phi2 = phi1, phi2
-        self.dphi1, self.dphi2 = dphi1, dphi2
-        self.w_combo = w_combo
         self.v = pair.v
 
-        den = phi1**2 + phi2**2
+        den = phi1 * phi1 + phi2 * phi2
         if np.any(den <= 0.0):
             raise NumericError("phi1^2 + phi2^2 vanished",
                                module=_MODULE, op="ReducedActionField")
-        # phi'' = (2m/hbar^2)(V - E) phi gives phi1 phi1'' + phi2 phi2''
-        gddg = 2.0 * m / hbar**2 * (pair.v - pair.energy) * den
-        self.p, self.dp, self.d2p = _momentum_ladder(
-            hbar, w_combo, phi1, phi2, dphi1, dphi2, gddg)
-        self.s0 = hbar * _unwrapped_angle(phi1, phi2)
+        self.p = hbar * self.w_combo / den
+        # branch-unwrapped arctan(phi2/phi1), its first sample the principal value
+        angle = np.unwrap(np.arctan2(phi2, phi1))
+        principal = _principal_angle(phi1[0], phi2[0])
+        self.s0 = hbar * (angle - round((angle[0] - principal) / math.pi) * math.pi)
 
         step = np.diff(self.s0)
         if np.any(np.abs(step) >= 0.5 * math.pi * hbar):
@@ -277,42 +257,81 @@ class ReducedActionField:
             raise NumericError("S0 is not strictly monotone",
                                module=_MODULE, op="ReducedActionField")
 
-    # ---- evaluation: one Hermite table per rung, built on first use ----
-    def _table(self, f, df):
-        return _hermite_table(self.grid.x_min, self.grid.spacing, f, df)
-
+    # ---- evaluation between nodes: the pair's quintic Hermite ----------
     @cached_property
-    def s0_at(self):
-        """S0(x) from the (S0, P) table."""
-        return self._table(self.s0, self.p)
+    def _nodes(self):
+        """The node data of ``_CELL`` as an (n, 6) array, built on first use:
+        its transpose for the numpy branch, its memoryview and that of x for
+        the scalar branch; then hbar w and the grid constants of _pair_at."""
+        grid, h = self.grid, self.grid.spacing
+        half_h2k = h * h * self.units.mass / self.units.hbar**2 * (self.v - self.pair.energy)
+        nodes = np.column_stack([self.phi1, self.phi2, h * self.dphi1, h * self.dphi2,
+                                 half_h2k * self.phi1, half_h2k * self.phi2])
+        width = grid.x_max - grid.x_min
+        return (nodes.T, memoryview(nodes), memoryview(self.x), self.units.hbar * self.w_combo,
+                grid.x_min, h, grid.n_points - 1, grid.x_min - width, grid.x_max + width)
 
-    @cached_property
-    def p_at(self):
-        """P(x) from the (P, P') table."""
-        return self._table(self.p, self.dp)
+    def _pair_at(self, x, slopes=False):
+        """(j, g1, g2), and (g1', g2') if slopes: j is the node nearest to x
+        and (g1, g2) the quintic on the cell from j towards x, held within a
+        grid length past the ends (DOP853 steps past them). The distance to
+        j is exact, so a node returns its own values. A Python float takes a
+        scalar branch, equal to the numpy one bit for bit."""
+        rows, nodes, xs, _, x_min, h, last, lo, hi = self._nodes
+        if isinstance(x, float):
+            x = lo if x < lo else hi if x > hi else x
+            u = (x - x_min) / h + 0.5
+            j = last if u >= last else int(u) if u > 0.0 else 0
+            tau = (x - xs[j]) / h
+            if j == 0 or (tau >= 0.0 and j < last):
+                i, t, s = j, tau, 1.0 - tau
+            else:
+                i, s, t = j - 1, -tau, 1.0 + tau
+            a1, a2, b1, b2, c1, c2, d1, d2, e1, e2, f1, f2 = _CELL.unpack_from(nodes, 48 * i)
+        else:
+            x = np.clip(np.asarray(x, dtype=float), lo, hi)
+            j = np.clip((x - x_min) / h + 0.5, 0.0, last).astype(np.intp)
+            tau = (x - self.x[j]) / h
+            left = (j == 0) | ((tau >= 0.0) & (j < last))
+            i, t, s = np.where(left, j, j - 1), np.where(left, tau, 1.0 + tau), \
+                np.where(left, 1.0 - tau, -tau)
+            (a1, a2, b1, b2, c1, c2), (d1, d2, e1, e2, f1, f2) = rows[:, i], rows[:, i + 1]
+        w0, w1, w2, w3, w4, w5 = _quintic_weights(t, s, False)
+        out = (j, a1 * w0 + d1 * w1 + b1 * w2 + e1 * w3 + c1 * w4 + f1 * w5,
+               a2 * w0 + d2 * w1 + b2 * w2 + e2 * w3 + c2 * w4 + f2 * w5)
+        if not slopes:
+            return out
+        w0, w1, w2, w3, w4, w5 = _quintic_weights(t, s, True)
+        return out + ((a1 * w0 + d1 * w1 + b1 * w2 + e1 * w3 + c1 * w4 + f1 * w5) / h,
+                      (a2 * w0 + d2 * w1 + b2 * w2 + e2 * w3 + c2 * w4 + f2 * w5) / h)
 
-    @cached_property
-    def dp_at(self):
-        """P'(x) from the (P', P'') table."""
-        return self._table(self.dp, self.d2p)
+    def p_at(self, x):
+        """P(x) = hbar w/(g1^2 + g2^2) of the interpolated pair."""
+        _, g1, g2 = self._pair_at(x)
+        return self._nodes[3] / (g1 * g1 + g2 * g2)
 
-    @cached_property
-    def d2p_at(self):
-        """P''(x) from the (P'', P''') table. With k = (2m/hbar^2)(V - E)
-        and D = phi1^2 + phi2^2, D''' = 4k D' + 2k' D, which gives
-        P''' = P' (6 P''/P - 6 (P'/P)^2 + 4k) - 2k' P."""
-        coeff = 2.0 * self.units.mass / self.units.hbar**2
-        k = coeff * (self.v - self.energy)
-        d3p = (self.dp * (6.0 * self.d2p / self.p - 6.0 * (self.dp / self.p)**2
-                          + 4.0 * k)
-               - 2.0 * coeff * self.pair.dv * self.p)
-        return self._table(self.d2p, d3p)
+    def s0_at(self, x):
+        """S0(x): the nearest node's S0 plus the angle (g1, g2) turns
+        through from that node's (phi1, phi2)."""
+        j, g1, g2 = self._pair_at(x)
+        h1, h2 = self.phi1[j], self.phi2[j]
+        out = self.s0[j] + self.units.hbar * np.arctan2(g2 * h1 - g1 * h2, g1 * h1 + g2 * h2)
+        return float(out) if isinstance(x, float) else out
+
+    def ladder_at(self, x):
+        """(P, P', P'') at x with g'' = k(x) g at the exact V(x) of the
+        pair's potential: P is never differenced."""
+        _, g1, g2, dg1, dg2 = self._pair_at(x, slopes=True)
+        hbar, m = self.units.hbar, self.units.mass
+        k = 2.0 * m / hbar**2 * (self.pair.spec.value(x, self.units) - self.pair.energy)
+        return _momentum_ladder(hbar, self.w_combo, g1, g2, dg1, dg2, k * (g1 * g1 + g2 * g2))
 
     def bracket_at(self, x):
         """Schwarzian bracket {S0, x} = (3/2)(P'/P)^2 - P''/P from the
         analytic momentum derivatives."""
-        p = self.p_at(x)
-        return 1.5 * (self.dp_at(x) / p)**2 - self.d2p_at(x) / p
+        p, dp, d2p = self.ladder_at(x)
+        q = dp / p
+        return 1.5 * (q * q) - d2p / p
 
     def basic_identity_residual(self, index: int):
         """Residual of the Schwarzian identity linking (S0')^2 to the
@@ -351,8 +370,7 @@ def floyd_momentum(pair: SolutionPair, params: MicrostateParams, x):
             f"pair Wronskian {pair.wronskian:.12g} does not match Floyd "
             f"normalization; required theta1*theta2' - theta1'*theta2 = {required:.12g}",
             module=_MODULE, op="floyd_momentum")
-    field = build_field(pair, params)
-    return field.p_at(x)
+    return build_field(pair, params).p_at(x)
 
 
 def params_convert(params: MicrostateParams,
@@ -478,9 +496,7 @@ def bohm_quantum_potential(field: ReducedActionField, x, route: str = "amplitude
     """
     m = field.units.mass
     hbar = field.units.hbar
-    p = field.p_at(x)
-    dp = field.dp_at(x)
-    d2p = field.d2p_at(x)
+    p, dp, d2p = field.ladder_at(x)
     if route == "amplitude":
         app_over_a = 0.75 * (dp / p)**2 - 0.5 * d2p / p
         return -(hbar**2 / (2.0 * m)) * app_over_a
@@ -490,20 +506,15 @@ def bohm_quantum_potential(field: ReducedActionField, x, route: str = "amplitude
                          module=_MODULE, op="bohm_quantum_potential")
 
 
-def modified_potential_samples(field: ReducedActionField) -> np.ndarray:
-    """U = V + V_B sampled on the field grid."""
-    return field.v + bohm_quantum_potential(field, field.x)
-
-
 def modified_potential_residual(field: ReducedActionField, spec: PotentialSpec,
                                 x):
     """Residual of the second-order modified-potential equation
     U + (hbar^2/8m) U''/(E-U) + (5 hbar^2/32m) (U'/(E-U))^2 - V,
-    with U differenced numerically on the grid."""
+    with U = V + V_B differenced numerically on the grid."""
     m = field.units.mass
     hbar = field.units.hbar
     e = field.energy
-    u = modified_potential_samples(field)
+    u = field.v + bohm_quantum_potential(field, field.x)
     i = field.grid.index_of(float(x))
     if i < 2 or i > field.grid.n_points - 3:
         raise ParameterError("x too close to the grid boundary",

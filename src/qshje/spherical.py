@@ -320,26 +320,16 @@ def component_report(triple: SphericalActionTriple) -> dict:
     """Per-component residual maxima at 64 points of each interior window,
     as a JSON-ready dict."""
     rf, pf, az = triple.radial, triple.polar, triple.azimuthal
-    units = triple.units
-
-    r_lo, r_hi = rf.x[5], rf.x[-6]
-    rs = np.linspace(r_lo, r_hi, 64)
-    spec_r = PotentialSpec.radial_effective(triple.inner, triple.qn.lam)
-    res_r = np.max(np.abs(qshje_residual(rf, spec_r, rs)))
-
-    th_lo, th_hi = pf.x[5], pf.x[-6]
-    ths = np.linspace(th_lo, th_hi, 64)
-    res_th = np.max(np.abs(qshje_residual(pf, PotentialSpec.polar_angle(triple.qn.m_ell), ths)))
-
+    res_r, res_th = (np.max(np.abs(qshje_residual(
+        f, f.pair.spec, np.linspace(f.x[5], f.x[-6], 64)))) for f in (rf, pf))
     phis = np.linspace(0.05, 2.0 * math.pi - 0.05, 64)
     res_ph = np.max(np.abs(az.qshje_residual(phis)))
-
     return {
         "ell": triple.qn.ell,
         "m_ell": triple.qn.m_ell,
         "energy": triple.energy,
-        "radial_window": [r_lo, r_hi],
-        "polar_window": [th_lo, th_hi],
+        "radial_window": [rf.x[5], rf.x[-6]],
+        "polar_window": [pf.x[5], pf.x[-6]],
         "radial_residual_max": float(res_r),
         "polar_residual_max": float(res_th),
         "azimuthal_residual_max": float(res_ph),

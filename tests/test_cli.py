@@ -82,6 +82,18 @@ def test_spherical_command(tmp_path):
     assert payload["radial_residual_max"] < 1e-5
 
 
+def test_spherical_ell_2_components_agree_with_the_total(tmp_path):
+    # default windows: radial_residual_max reads 5.9e-10 and the total
+    # 3.0e-10 (the radial maximum read 79 with cubic tables of P between
+    # nodes while the total read 5.3e-8), measured on numpy 2.4
+    out = tmp_path / "sph.json"
+    assert run(["spherical", "--ell", "2", "--energy", "0.8", "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    for key in ("radial_residual_max", "polar_residual_max",
+                "azimuthal_residual_max", "total_residual_max"):
+        assert payload[key] < 1e-4 * 0.8, key
+
+
 def test_compare_floyd_command(tmp_path):
     out = tmp_path / "floyd.csv"
     code = run(["compare-floyd", "--energy", "0.5",

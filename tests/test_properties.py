@@ -66,7 +66,7 @@ _FLOYD = st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0),
 @given(params=_MU_NU, offsets=st.lists(st.floats(0.0, 1.0), min_size=1,
                                         max_size=50))
 def test_field_qshje_residual_vanishes_between_nodes(params, offsets):
-    # a harmonic pair, so the P''' rung of the d2p_at table carries V'
+    # a harmonic pair, so the bracket's P'' takes g'' = k(x) g at the exact V(x)
     field = build_field(HARMONIC_PAIR, params)
     grid = HARMONIC_PAIR.grid
     cells = np.arange(len(offsets)) * ((grid.n_points - 2) // len(offsets))

@@ -130,7 +130,7 @@ def test_s0_differentiates_to_p(harmonic_pair):
     field = build_field(harmonic_pair, MicrostateParams.from_floyd(1.5, 1.0, 0.4))
     h = field.grid.spacing
     ds0 = (field.s0[2:] - field.s0[:-2]) / (2.0 * h)
-    bound = 1.5 * (h**2 / 6.0) * np.max(np.abs(field.d2p))
+    bound = 1.5 * (h**2 / 6.0) * np.max(np.abs(field.ladder_at(field.x)[2]))
     assert np.max(np.abs(ds0 - field.p[1:-1])) < bound
 
 
@@ -188,7 +188,7 @@ def test_floyd_equals_converted_mu_nu():
     assert np.max(np.abs(p_floyd - p_conj)) < 1e-9
 
 
-# --------------------------------------------- Hermite evaluation tables
+# ------------------------------------------- evaluation between nodes
 
 def test_tables_match_closed_form_free_floyd_between_nodes(free_pair):
     # P = k s / Q(kx) with Q(u) = a cos^2 u + b sin^2 u + c sin u cos u and
@@ -206,52 +206,122 @@ def test_tables_match_closed_form_free_floyd_between_nodes(free_pair):
     q = a * np.cos(u)**2 + b * np.sin(u)**2 + c * np.sin(u) * np.cos(u)
     dq = (b - a) * np.sin(2.0 * u) + c * np.cos(2.0 * u)
     d2q = 2.0 * (b - a) * np.cos(2.0 * u) - 2.0 * c * np.sin(2.0 * u)
+    p, dp, d2p = field.ladder_at(x)
     expected = {
-        "s0_at": continuous_arctan_tan(u, b / s, 0.5 * c / s),
-        "p_at": k * s / q,
-        "dp_at": -k**2 * s * dq / q**2,
-        "d2p_at": k**3 * s * (2.0 * dq**2 / q**3 - d2q / q**2),
+        "s0_at": (field.s0_at(x), continuous_arctan_tan(u, b / s, 0.5 * c / s)),
+        "p_at": (field.p_at(x), k * s / q),
+        "P": (p, k * s / q),
+        "P'": (dp, -k**2 * s * dq / q**2),
+        "P''": (d2p, k**3 * s * (2.0 * dq**2 / q**3 - d2q / q**2)),
     }
-    for name, ref in expected.items():
-        got = getattr(field, name)(x)
+    for name, (got, ref) in expected.items():
         assert np.max(np.abs(got - ref)) < 1e-11 * np.max(np.abs(ref)), name
 
 
 def test_tables_match_the_ladder_between_nodes_of_a_harmonic_pair():
     # the ladder on the doubled grid gives the samples between the coarse
-    # nodes; d2p_at depends on the V' rung of P''' here
+    # nodes; P'' takes g'' = k(x) g at the exact V(x)
     spec = PotentialSpec.harmonic(1.0)
     params = MicrostateParams.from_mu_nu(0.4, -0.3)
     coarse = build_field(make_pair(spec, 1.5, Grid(-1.5, 1.5, 3001)), params)
     fine = build_field(make_pair(spec, 1.5, Grid(-1.5, 1.5, 6001)), params)
     mid = fine.x[1::2]
-    for name, ref in (("s0_at", fine.s0), ("p_at", fine.p),
-                      ("dp_at", fine.dp), ("d2p_at", fine.d2p)):
-        got = getattr(coarse, name)(mid)
+    rungs = zip(("P", "P'", "P''"), coarse.ladder_at(mid), fine.ladder_at(fine.x))
+    for name, got, ref in (("s0_at", coarse.s0_at(mid), fine.s0),
+                           ("p_at", coarse.p_at(mid), fine.p), *rungs):
         assert np.max(np.abs(got - ref[1::2])) < 2e-9 * np.max(np.abs(ref)), name
 
 
-@pytest.mark.parametrize("name", ["s0_at", "p_at", "dp_at", "d2p_at"])
-def test_table_float_branch_equals_array_branch(harmonic_pair, name):
-    evaluate = getattr(build_field(harmonic_pair,
-                                   MicrostateParams.from_mu_nu(0.4, -0.2)), name)
+#: case -> (evaluator, rung of its tuple or None for the whole value);
+#: P' and P'' are rungs 1 and 2 of ladder_at
+FLOAT_BRANCH_CASES = {"s0_at": ("s0_at", None), "p_at": ("p_at", None),
+                      "ladder_at": ("ladder_at", None),
+                      "dp_at": ("ladder_at", 1), "d2p_at": ("ladder_at", 2)}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_BRANCH_CASES))
+def test_table_float_branch_equals_array_branch(harmonic_pair, case):
+    # random points, every 37th node, the ends and points past them
+    name, rung = FLOAT_BRANCH_CASES[case]
+    method = getattr(build_field(harmonic_pair,
+                                 MicrostateParams.from_mu_nu(0.4, -0.2)), name)
+    evaluate = method if rung is None else (lambda x: method(x)[rung])
     grid = harmonic_pair.grid
-    x = np.random.default_rng(7).uniform(grid.x_min, grid.x_max, 1000)
-    x[0], x[-1] = grid.x_min, grid.x_max
+    x = np.concatenate([np.random.default_rng(7).uniform(grid.x_min, grid.x_max, 1000),
+                        grid.points()[::37], [grid.x_min - 0.01, grid.x_max + 0.01]])
     scalars = [evaluate(float(xi)) for xi in x]
-    assert all(type(v) is float for v in scalars)
-    assert np.array_equal(np.array(scalars), evaluate(x))
+    rows = [s if isinstance(s, tuple) else (s,) for s in scalars]
+    assert all(type(v) is float for row in rows for v in row)
+    assert np.array_equal(np.array(rows).T.squeeze(), np.array(evaluate(x)))
+
+
+def test_field_returns_its_node_values(harmonic_pair):
+    # at every node, also where (x - x_min)/h is not an integer in floats
+    field = build_field(harmonic_pair, MicrostateParams.from_mu_nu(0.4, -0.2))
+    assert np.array_equal(field.p_at(field.x), field.p)
+    assert np.array_equal(field.s0_at(field.x), field.s0)
+    assert np.array_equal(field.ladder_at(field.x)[0], field.p)
+    assert all(field.p_at(float(x)) == p for x, p in zip(field.x, field.p))
+
+
+def test_field_holds_far_points_one_grid_length_past_the_ends(harmonic_pair):
+    # DOP853's trial stages reach x ~ 1e297 when a trajectory stalls at a
+    # turning point; an unbounded end quintic then overflows and P reads nan
+    field = build_field(harmonic_pair, MicrostateParams.from_mu_nu(0.4, -0.2))
+    grid = harmonic_pair.grid
+    width = grid.x_max - grid.x_min
+    for far, held in ((1e300, grid.x_max + width), (-1e300, grid.x_min - width)):
+        p = field.p_at(far)
+        assert math.isfinite(p) and p != 0.0 and p == field.p_at(held)
+        assert field.p_at(np.array([far]))[0] == p
 
 
 def test_action_variable_builds_no_table(monkeypatch, harmonic_pair):
     from qshje import reduced_action
 
     def no_table(*args):
-        raise AssertionError("an evaluation table was built")
-    monkeypatch.setattr(reduced_action, "_hermite_table", no_table)
+        raise AssertionError("the interpolant's node data was built")
+    monkeypatch.setattr(reduced_action.ReducedActionField, "_nodes",
+                        property(no_table))
     record = bound_state(PotentialSpec.harmonic(1.0), Grid(-6.0, 6.0, 2001), 0)
     assert action_variable(record.pair, MicrostateParams.from_floyd(1.0, 1.0, 0.0)) \
         == pytest.approx(2.0 * math.pi, rel=1e-6)
+
+
+#: (potential, half width, points, E, (mu, nu)); measured on numpy 2.4: the
+#: exact pair's Wronskian drift, the Numerov field's relative P error at
+#: the nodes and at the midpoints, and the node-to-midpoint S0 increments.
+EXACT_CASES = {
+    # drift 3.6e-12, node 6.2e-9, midpoint 6.3e-9 (1.5e-2 from cubic
+    # tables of P), S0 increments 1.5e-9
+    "harmonic-7001-E2.2-peaked": ("harmonic", 3.5, 7001, 2.2, (-0.3, 0.2)),
+    # drift 3.6e-12, node 7.6e-9, midpoint 7.8e-9 (3.1e-2), S0 2.4e-9
+    "harmonic-7001-E2.2-sharpest": ("harmonic", 3.5, 7001, 2.2, (0.1, 0.1)),
+    # drift 2.4e-12, node 5.2e-10, midpoint 5.2e-10 (5.9e-6), S0 8.0e-12
+    "harmonic-7001-E3.7": ("harmonic", 3.5, 7001, 3.7, (0.2, 0.4)),
+    # drift 3.6e-12, node 8.7e-9, midpoint 8.7e-9 (2.4e-3), S0 1.3e-9
+    "harmonic-14001-E2.2-sharpest": ("harmonic", 3.5, 14001, 2.2, (0.1, 0.1)),
+    # drift 1.7e-13, node 2.6e-11, midpoint 2.6e-11 (6.0e-10), S0 6.0e-14
+    "linear-8001-E1.5": ("linear", 4.0, 8001, 1.5, (0.3, -0.2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_midpoint_p_and_s0_match_the_exact_pair(case):
+    # the exact pair on the 2N - 1 grid, whose odd nodes are the midpoints
+    from exact_pairs import exact_pair, wronskian_drift
+    kind, half, n, energy, mu_nu = EXACT_CASES[case]
+    spec = PotentialSpec.harmonic(1.0) if kind == "harmonic" else PotentialSpec.linear(1.0)
+    params = MicrostateParams.from_mu_nu(*mu_nu)
+    field = build_field(make_pair(spec, energy, Grid(-half, half, n)), params)
+    exact = exact_pair(spec, energy, Grid(-half, half, 2 * n - 1))
+    assert wronskian_drift(exact) < 1e-11
+    ref = build_field(exact, params)
+    node = np.max(np.abs(field.p / ref.p[::2] - 1.0))
+    mid = np.max(np.abs(field.p_at(ref.x[1::2]) / ref.p[1::2] - 1.0))
+    assert mid < min(2.0 * node, 2e-8)
+    step = field.s0_at(ref.x[1::2]) - field.s0[:-1]
+    assert np.max(np.abs(step - (ref.s0[1::2] - ref.s0[:-1:2]))) < 1e-8
 
 
 def test_reduced_action_module_has_no_spline():
@@ -370,8 +440,7 @@ def test_qshje_residual_mobius_transformed_field(harmonic_pair):
         w = float(np.median(sol1.values * sol2.derivs - sol1.derivs * sol2.values))
         pair2 = SolutionPair(grid=base.grid, energy=base.energy,
                              units=base.units, sol1=sol1, sol2=sol2,
-                             wronskian=w, v=harmonic_pair.v,
-                             dv=harmonic_pair.dv)
+                             wronskian=w, spec=harmonic_pair.spec)
         field2 = build_field(pair2, MicrostateParams.from_mu_nu(0.0, 0.0))
         assert np.max(np.abs(qshje_residual(field2, spec, xs))) < 1e-6
 
@@ -530,13 +599,13 @@ def test_field_csv_export(tmp_path, harmonic_pair):
 
 
 def test_modified_potential_singularity_guard():
-    # forcing E onto U(x) at the evaluation point trips the pole guard
-    from qshje.reduced_action import modified_potential_samples
+    # forcing the residual's E onto U(x) = V + V_B at the evaluation point
+    # trips the pole guard; U itself takes E from the pair
     grid = Grid(0.0, 4.0, 2001)
     pair = make_pair(PotentialSpec.free(), E_FREE, grid, target_wronskian=-1.0)
     field = build_field(pair, MicrostateParams.from_floyd(1.0, 1.0, 0.0))
     i = grid.index_of(2.0)
-    field.energy = float(modified_potential_samples(field)[i])
+    field.energy = float(field.v[i] + bohm_quantum_potential(field, field.x[i]))
     with pytest.raises(SingularityError):
         modified_potential_residual(field, PotentialSpec.free(), 2.0)
 
