@@ -274,7 +274,7 @@ class ReducedActionField:
     def _pair_at(self, x, slopes=False):
         """(j, g1, g2), and (g1', g2') if slopes: j is the node nearest to x
         and (g1, g2) the quintic on the cell from j towards x, held within a
-        grid length past the ends (DOP853 steps past them). The distance to
+        grid length past the ends (an ODE solver steps past them). The distance to
         j is exact, so a node returns its own values. A Python float takes a
         scalar branch, equal to the numpy one bit for bit."""
         rows, nodes, xs, _, x_min, h, last, lo, hi = self._nodes

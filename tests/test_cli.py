@@ -4,10 +4,13 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qshje
 from qshje.cli import run_command
 
 
@@ -382,3 +385,17 @@ def test_value_error_names_flag(tmp_path, capsys, argv, field):
     assert payload["op"] == "config"
     assert payload["message"].startswith(f"--{field} must be")
     assert f"the violated field is '{field}'" in payload["message"]
+
+
+def test_importing_the_cli_leaves_scipy_integrate_out():
+    # trajectories invert a time table instead of calling an ODE solver or
+    # an adaptive quadrature; scipy.optimize still comes in with
+    # scipy.interpolate
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qshje.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, qshje.cli; print(sorted(m for m in sys.modules"
+                               " if m.startswith('scipy.integrate')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -171,8 +171,8 @@ def test_trajectory_csv(tmp_path, quantum_free_field):
 
 
 def test_trajectory_frees_field_without_gc():
-    # solve_ivp's solver sits in a reference cycle with the callbacks; a
-    # field they pin would outlive its trajectory until a full GC pass
+    # the trajectory's x(t) holds its field; nothing may hold the trajectory
+    # back in a reference cycle, or the field outlives it until a full GC pass
     grid = Grid(-1.4, 1.4, 2801)
     field = build_field(make_pair(SPEC_HARM, 2.0, grid),
                         MicrostateParams.from_mu_nu(0.3, -0.2))
@@ -281,7 +281,7 @@ def test_fiqnl_harmonic_dense_output(harmonic_field):
 
 
 def _fiqnl_along_per_sample(traj):
-    """Reference: fiqnl_residual_along as one dense-output call per sample."""
+    """Reference: fiqnl_residual_along as one call of x(t) per sample."""
     delta = max(abs(traj.t[-1] - traj.t[0]) * 2e-3, 1e-6)
     t_lo = min(traj.t[0], traj.t[-1]) + 3.0 * delta
     t_hi = max(traj.t[0], traj.t[-1]) - 3.0 * delta
@@ -304,14 +304,15 @@ def test_fiqnl_along_matches_per_sample_loop(harmonic_field):
     traj = integrate_trajectory(harmonic_field, SPEC_HARM, -0.5, (0.0, 1.2),
                                 tol=1e-11, n_samples=50)
     _, rel = fiqnl_residual_along(traj)
-    # the dense output is evaluated in other groups of times, so x moves at
-    # rounding level, which the 1/delta^3 stencil amplifies
+    # x(t) is evaluated in other groups of times; each time's Newton
+    # iterates on its own, so x does not move with the grouping (5.6e-17
+    # measured on numpy 2.4, the residual's own rounding)
     ref = _fiqnl_along_per_sample(traj) / harmonic_field.energy**4
     assert np.max(np.abs(rel - ref)) < 1e-12
 
 
 def test_csv_fiqnl_column_on_linear_trajectory(tmp_path):
-    # seven-point differencing of the dense output reads O(1) here; the
+    # seven-point differencing of x(t) reads O(1) here; the
     # analytic ladder reads the field's own consistency
     spec = PotentialSpec.linear(1.0)
     field = build_field(make_pair(spec, 1.5, Grid(-4.0, 4.0, 8001)),
@@ -549,3 +550,126 @@ def test_trajectory_converges_with_the_grid_where_p_is_peaked():
     for t_end, bound in ((0.5, 1e-9), (min(r.exit_time for r in runs), 1e-6)):
         t = np.linspace(0.0, t_end, 1001)
         assert np.max(np.abs(runs[0].sol(t)[0] - runs[1].sol(t)[0])) < bound
+
+
+# ------------------------------------- the time table against other routes
+
+def _benchmark_like_run(kind):
+    """(field, spec, x0, t_span) of the trajectory benchmark's kinds, and the
+    peaked harmonic field of the grid-convergence test."""
+    if kind == "free":
+        energy, a_big, b_big = 0.6, 2.0, 0.3
+        field = build_field(analytic_free_pair(energy, Grid(-2.0, 8.0, 10001)),
+                            MicrostateParams.from_floyd(a_big**2 + b_big**2, 1.0, -2.0 * b_big))
+        x0 = free_particle_closed_form(energy, a_big, b_big, 0.0, 0.0, 0.0)
+        return field, SPEC_FREE, x0, (0.0, math.pi / (2.0 * energy))
+    if kind == "harmonic":
+        half = 0.7 * math.sqrt(2.0 * 2.2)
+        grid, params, x0, span = Grid(-half, half, 5601), (0.3, -0.2), 0.3, (0.0, 1.2)
+    else:
+        grid, params, x0, span = Grid(-3.5, 3.5, 7001), (0.1, 0.1), 0.0, (0.0, 0.5)
+    field = build_field(make_pair(SPEC_HARM, 2.2, grid), MicrostateParams.from_mu_nu(*params))
+    return field, SPEC_HARM, x0, span
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "peaked", "free"])
+def test_trajectory_matches_a_dop853_reference(kind):
+    # DOP853 on velocity at tol 1e-12 (tests/ode_reference.py) against the
+    # inverted table, max |dx| measured on numpy 2.4: harmonic (exits the
+    # grid) 7.0e-12, peaked (t <= 0.5) 1.5e-13, free 1.1e-11
+    from ode_reference import dop853_x
+    field, spec, x0, span = _benchmark_like_run(kind)
+    traj = integrate_trajectory(field, spec, x0, span, tol=1e-11, n_samples=300)
+    assert np.max(np.abs(traj.x - dop853_x(field, spec, x0, traj.t, tol=1e-12))) < 1e-9
+
+
+@pytest.mark.parametrize("spec, energy, grid, params, x0, bound", [
+    # the peaked field (h max |P'/P| = 0.92) and a quieter one, both to the
+    # stall at the turning point x = 2.098; linear s = 1 to the grid margin
+    (SPEC_HARM, 2.2, Grid(-3.5, 3.5, 7001), (0.1, 0.1), 0.0, 1e-7),
+    (SPEC_HARM, 2.2, Grid(-3.5, 3.5, 7001), (-0.3, 0.2), 0.5, 1e-7),
+    (PotentialSpec.linear(1.0), 1.5, Grid(-4.0, 4.0, 8001), (0.3, -0.2), -1.0, 1e-9),
+], ids=["harmonic-peaked", "harmonic", "linear"])
+def test_trajectory_matches_dop853_on_the_exact_pair(spec, energy, grid, params, x0, bound):
+    # The table on the Numerov pair's field against DOP853 (tol 1e-12) on the
+    # field of the exact pair (D_nu/V_nu, Ai/Bi): neither the kernel, nor the
+    # interpolated pair, nor the integrator is shared. Max |dx| measured on
+    # numpy 2.4: 3.4e-8, 5.3e-8 (to the stall, where the pair's 1e-9-level
+    # error meets the fast transit), 6.3e-11; exact-pair W drift <= 3.6e-12
+    from exact_pairs import exact_pair, wronskian_drift
+    from ode_reference import dop853_x
+    params = MicrostateParams.from_mu_nu(*params)
+    exact = exact_pair(spec, energy, grid)
+    assert wronskian_drift(exact) < 1e-11
+    traj = integrate_trajectory(build_field(make_pair(spec, energy, grid), params), spec,
+                                x0, (0.0, 10.0), tol=1e-12, n_samples=400)
+    assert traj.status != "completed"
+    ref = dop853_x(build_field(exact, params), spec, x0, traj.t, tol=1e-12)
+    assert np.max(np.abs(traj.x - ref)) < bound
+
+
+def test_free_time_of_flight_is_the_s0_advance():
+    # for V = 0, t(x) = (S0(x) - S0(x0)) / 2E: S0 is the pair's turning angle,
+    # no integral. Max |dt| measured on numpy 2.4: 1.6e-14 (t up to 6.8)
+    field = build_field(analytic_free_pair(E, Grid(-2.0, 8.0, 10001)),
+                        MicrostateParams.from_floyd(0.65, 1.0, 0.8))
+    xs = np.linspace(-1.5, 7.5, 37)
+    tof = np.array([time_of_flight(field, SPEC_FREE, 0.3, float(x)) for x in xs])
+    assert np.max(np.abs(tof - (field.s0_at(xs) - field.s0_at(0.3)) / (2.0 * E))) < 1e-12
+
+
+def test_trajectory_starting_on_a_turning_point_stays_there(gs_field):
+    # +-1 are turning points and grid nodes: E - V is exactly 0 there
+    for x0 in (1.0, -1.0):
+        traj = integrate_trajectory(gs_field, SPEC_HARM, x0, (0.0, 1.0), tol=1e-10)
+        assert traj.status == "completed" and traj.exit_time is None
+        assert np.all(traj.x == x0) and np.all(traj.xdot == 0.0)
+
+
+def test_trajectory_in_the_forbidden_region_leaves_the_grid(gs_field):
+    # outward from x0 = 1.5 to the margin 2.998; DOP853 read t = 0.1980253658924
+    traj = integrate_trajectory(gs_field, SPEC_HARM, 1.5, (0.0, 1.0), tol=1e-10)
+    assert traj.status == "exited_grid"
+    assert traj.exit_position == pytest.approx(2.998, abs=1e-12)
+    assert traj.exit_time == pytest.approx(0.1980253658924, abs=1e-10)
+
+
+def test_reversed_span_stalls_at_the_turning_point(gs_field):
+    # t runs from 1 down: the flow goes to +1 and stops where E - V = 1e-9.
+    # An independent integral of P / 2(E - V) to that point gives the exit;
+    # DOP853's stall event read 0.9866628 (its event is ill-conditioned: an
+    # ulp of x there moves t by about 2e-7)
+    traj = integrate_trajectory(gs_field, SPEC_HARM, 0.3, (1.0, 0.0), tol=1e-10)
+    assert traj.status == "turning_point_asymptotic"
+    assert 0.5 - SPEC_HARM.value(traj.exit_position) == pytest.approx(1e-9, rel=1e-6)
+    assert traj.exit_time == pytest.approx(0.9866628, abs=3e-6)
+    assert np.all(np.diff(traj.x) > 0.0) and traj.x[-1] == traj.exit_position
+
+
+def test_trajectory_stalls_at_a_turning_point_on_a_node():
+    # the linear golden's field: x = 2 is a turning point and a grid node;
+    # the stall floor is 10 tol max(|E|, 1) = 2e-10
+    spec = PotentialSpec.linear(1.0)
+    field = build_field(make_pair(spec, 2.0, Grid(-4.0, 6.0, 1001)),
+                        MicrostateParams.from_mu_nu(0.3, -0.2))
+    traj = integrate_trajectory(field, spec, 1.9, (0.0, -50.0), tol=1e-11)
+    assert traj.status == "turning_point_asymptotic"
+    assert traj.exit_position == pytest.approx(2.0 - 2e-10, abs=1e-15)
+
+
+@pytest.mark.parametrize("field_args, x_ref, x, expected", [
+    # adaptive quadrature at 1e-11 of the same field, as this function
+    # computed before it read the table; the interval ends 1e-6 short of
+    # the turning point sqrt(4.4), where the integrand is 1/sqrt-singular
+    ((2.2, Grid(-3.5, 3.5, 7001), MicrostateParams.from_mu_nu(-0.3, 0.2)),
+     0.0, math.sqrt(4.4) - 1e-6, -1.7040197508400152),
+    ((2.2, Grid(-3.5, 3.5, 7001), MicrostateParams.from_mu_nu(-0.3, 0.2)),
+     -math.sqrt(4.4) + 1e-6, 0.4, -1.5540193170705507),
+    ((0.5, Grid(-3.0, 3.0, 6001), MicrostateParams.from_floyd(1.0, 1.0, 0.0)),
+     0.2, 1.0 - 1e-6, -0.0012677721310041638),
+], ids=["to-right", "from-left", "ground-state"])
+def test_quantum_coordinate_up_to_a_turning_point(field_args, x_ref, x, expected):
+    # measured on numpy 2.4: within 2e-14 relative of the pinned values
+    energy, grid, params = field_args
+    field = build_field(make_pair(SPEC_HARM, energy, grid), params)
+    assert quantum_coordinate(field, SPEC_HARM, x_ref, x) == pytest.approx(expected, rel=1e-12)

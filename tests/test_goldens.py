@@ -9,12 +9,12 @@ larger for the rounding-level residual columns, whose values are relative
 to O(1) energies. Bytes need not match across numpy versions, so each
 bound stands well above the largest change that moving --energy (--omega
 for quantize) by one ulp brings to its columns, measured on numpy 2.4:
-5.1e-10 for the columns of a trajectory (abs_dev_from_classical of the
-trajectory sweep), 4.8e-9 for the residuals (the modified-potential
-residual) and 1.1e-14 for every other column. The trajectory columns
-follow DOP853's tol because the field between nodes is C2 (the pair's
-quintic Hermite): x moves by at most 9.1e-12 of its scale between tol 1e-11
-and 1e-13.
+1.5e-14 for the columns of a trajectory (xdot of the linear one), 4.8e-9
+for the residuals (the modified-potential residual) and 1.1e-14 for every
+other column. The trajectory goldens were written by DOP853 at tol 1e-11;
+the inverted time table, exact to rounding on the field's C2 quintic,
+reproduces them within 2.5e-10 of their scale (abs_dev_from_classical of
+the trajectory sweep).
 
     PYTHONPATH=src python tests/test_goldens.py               # comparer report
     PYTHONPATH=src python tests/test_goldens.py --regenerate  # rewrite goldens
@@ -86,8 +86,8 @@ CASES = {
                            "--params-list", "a=1,b=1,c=0;a=2,b=1,c=1"],
 }
 
-#: Bounds on |new - golden| / scale: the columns of an adaptive ODE run,
-#: the residual columns, and every other float column.
+#: Bounds on |new - golden| / scale: the columns of a trajectory (written
+#: by an adaptive ODE run), the residual columns, and every other float column.
 TRAJECTORY_RTOL = 1e-7
 RESIDUAL_RTOL = 1e-6
 RTOL = 1e-10
